@@ -1,440 +1,48 @@
 (* amber_sim — command-line driver for the Amber reproduction.
 
    Subcommands:
-     sor        run Red/Black SOR (amber | ivy | seq) with custom parameters
+     sor        run Red/Black SOR (amber | ivy | seq, sync or --async)
      workqueue  run the distributed work-queue workload
      matmul     run the replicated matrix multiply
+     tsp        run branch-and-bound TSP with work stealing
+     readmostly run the read-mostly workload (replicas vs remote reads)
+     serve      serve open-loop traffic with per-class SLO reporting
+     watch      run a serve scenario under continuous telemetry
      trace      run a small scenario with protocol tracing and dump it
+     profile    run a workload under the span profiler
+     fixture    run a seeded sanitizer fixture
+     check      model-check a protocol fixture
+
+   Each subcommand here is its own flags, a workload body and its printed
+   lines; the cluster configuration, the instrument flags, the run and
+   the exit policy live in harness.ml.
 
    Examples:
      amber_sim sor --nodes 8 --cpus 4 --iters 20
-     amber_sim sor --system ivy --nodes 4 --rows 32 --cols 64
+     amber_sim sor --system ivy --nodes 4 --cpus 2 --rows 32 --cols 64
      amber_sim workqueue --items 400 --move-at 150
+     amber_sim serve --rps 400 --duration 0.5 --report
+     amber_sim check all
      amber_sim trace *)
 
 open Cmdliner
 
-let nodes_arg =
-  Arg.(value & opt int 4 & info [ "nodes"; "n" ] ~docv:"N" ~doc:"Cluster nodes.")
-
-let cpus_arg =
-  Arg.(value & opt int 4 & info [ "cpus"; "p" ] ~docv:"P" ~doc:"CPUs per node.")
-
-(* --- fault injection (shared by every subcommand) ------------------------ *)
-
-let stall_conv =
-  let parse s =
-    match String.split_on_char ':' s with
-    | [ n; f; u ] -> (
-      try
-        Ok
-          {
-            Hw.Ethernet.node = int_of_string (String.trim n);
-            from_t = float_of_string (String.trim f);
-            until_t = float_of_string (String.trim u);
-          }
-      with _ -> Error (`Msg "stall: expected NODE:FROM:UNTIL"))
-    | _ -> Error (`Msg "stall: expected NODE:FROM:UNTIL")
-  in
-  let print ppf (s : Hw.Ethernet.stall) =
-    Format.fprintf ppf "%d:%g:%g" s.Hw.Ethernet.node s.Hw.Ethernet.from_t
-      s.Hw.Ethernet.until_t
-  in
-  Arg.conv (parse, print)
-
-let faults_term =
-  let drop =
-    Arg.(
-      value & opt float 0.0
-      & info [ "drop" ] ~docv:"P" ~doc:"Per-packet loss probability, [0,1).")
-  in
-  let dup =
-    Arg.(
-      value & opt float 0.0
-      & info [ "dup" ] ~docv:"P"
-          ~doc:"Per-packet duplicate-delivery probability, [0,1).")
-  in
-  let delay_prob =
-    Arg.(
-      value & opt float 0.0
-      & info [ "delay-prob" ] ~docv:"P"
-          ~doc:"Per-packet latency-spike probability, [0,1).")
-  in
-  let delay_spike =
-    Arg.(
-      value & opt float 10e-3
-      & info [ "delay-spike" ] ~docv:"SECONDS"
-          ~doc:"Extra delivery latency on a spike (default 10 ms).")
-  in
-  let stalls =
-    Arg.(
-      value
-      & opt_all stall_conv []
-      & info [ "stall" ] ~docv:"NODE:FROM:UNTIL"
-          ~doc:
-            "Hold packets arriving at NODE between virtual times FROM and \
-             UNTIL (seconds); repeatable.")
-  in
-  let mk drop_prob dup_prob delay_prob delay_spike stalls =
-    { Hw.Ethernet.drop_prob; dup_prob; delay_prob; delay_spike; stalls }
-  in
-  Term.(const mk $ drop $ dup $ delay_prob $ delay_spike $ stalls)
-
-let seed_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "sim-seed" ] ~docv:"S"
-        ~doc:
-          "Simulation seed (also seeds the fault pattern; same seed, same \
-           faults).")
-
-(* --- crash injection (shared by every subcommand) ------------------------ *)
-
-let crash_conv =
-  (* NODE@T[:RESTART]; times are virtual seconds and accept a trailing
-     "s" (e.g. 3@0.2s:0.6s). *)
-  let seconds s =
-    let s = String.trim s in
-    let n = String.length s in
-    let s = if n > 0 && s.[n - 1] = 's' then String.sub s 0 (n - 1) else s in
-    float_of_string s
-  in
-  let parse s =
-    match String.index_opt s '@' with
-    | None -> Error (`Msg "crash: expected NODE@T[:RESTART]")
-    | Some i -> (
-      try
-        let cnode = int_of_string (String.trim (String.sub s 0 i)) in
-        let rest = String.sub s (i + 1) (String.length s - i - 1) in
-        match String.split_on_char ':' rest with
-        | [ t ] -> Ok { Amber.Config.cnode; at = seconds t; restart = None }
-        | [ t; r ] ->
-          Ok { Amber.Config.cnode; at = seconds t; restart = Some (seconds r) }
-        | _ -> Error (`Msg "crash: expected NODE@T[:RESTART]")
-      with _ -> Error (`Msg "crash: expected NODE@T[:RESTART]"))
-  in
-  let print ppf (c : Amber.Config.crash) =
-    match c.Amber.Config.restart with
-    | None ->
-      Format.fprintf ppf "%d@@%g" c.Amber.Config.cnode c.Amber.Config.at
-    | Some r ->
-      Format.fprintf ppf "%d@@%g:%g" c.Amber.Config.cnode c.Amber.Config.at r
-  in
-  Arg.conv (parse, print)
-
-let crashes_term =
-  let crashes =
-    Arg.(
-      value
-      & opt_all crash_conv []
-      & info [ "crash" ] ~docv:"NODE@T[:RESTART]"
-          ~doc:
-            "Crash NODE at virtual time T (seconds; values may carry a \
-             trailing \"s\").  With :RESTART the outage is transient — the \
-             node freezes, drops its packets, and resumes at RESTART.  \
-             Without it the crash is fail-stop: the node's threads and \
-             unreplicated objects are lost and replicated objects are \
-             re-mastered on a surviving replica.  Repeatable; at most one \
-             crash per node, and node 0 is not crashable.")
-  in
-  let rate =
-    Arg.(
-      value & opt float 0.0
-      & info [ "crash-rate" ] ~docv:"P"
-          ~doc:
-            "Probabilistic crash mode: each node > 0 independently suffers \
-             one transient crash with probability P, at a seed-derived \
-             virtual time (same seed, same crashes).")
-  in
-  let mk crashes rate = (crashes, rate) in
-  Term.(const mk $ crashes $ rate)
-
-let mk_config nodes cpus faults seed (crashes, crash_rate) =
-  if nodes <= 0 || cpus <= 0 then failwith "nodes and cpus must be positive";
-  let seed =
-    match seed with
-    | Some s -> Int64.of_int s
-    | None -> Amber.Config.default.Amber.Config.seed
-  in
-  Amber.Config.make ~nodes ~cpus ~seed ~faults ~crashes ~crash_rate ()
-
-(* --- sanitizer (shared by every subcommand) ------------------------------ *)
-
-let sanitize_arg =
-  Arg.(
-    value & flag
-    & info [ "sanitize" ]
-        ~doc:
-          "Run under AmberSan: report data races, lock-order cycles and \
-           coherence drift; exit 3 on any finding.")
-
-(* --- load balancing (shared by sor and tsp) ------------------------------ *)
-
-let balance_term =
-  let policy =
-    let policy_conv =
-      Arg.enum
-        [
-          ("off", Balance.Rebalancer.Off);
-          ("steal_only", Balance.Rebalancer.Steal_only);
-          ("affinity", Balance.Rebalancer.Affinity);
-          ("hybrid", Balance.Rebalancer.Hybrid);
-        ]
-    in
-    Arg.(
-      value
-      & opt policy_conv Balance.Rebalancer.Off
-      & info [ "balance" ] ~docv:"POLICY"
-          ~doc:
-            "Adaptive placement policy: $(b,off), $(b,steal_only), \
-             $(b,affinity) or $(b,hybrid) (affinity + load spreading).")
-  in
-  let steal =
-    Arg.(
-      value & flag
-      & info [ "steal" ]
-          ~doc:
-            "Let idle nodes steal runnable unbound threads from loaded \
-             peers (implied by --balance=steal_only).")
-  in
-  let gossip =
-    Arg.(
-      value & opt float 10e-3
-      & info [ "gossip-interval" ] ~docv:"SECONDS"
-          ~doc:"Load-board gossip / steal tick period (default 10 ms).")
-  in
-  let mk policy steal gossip_interval =
-    { Balance.Driver.default_cfg with policy; steal; gossip_interval }
-  in
-  Term.(const mk $ policy $ steal $ gossip)
-
-(* Bracket a workload body with the load-balancing subsystem.  With the
-   default cfg the handle is inert and the run is untouched. *)
-let with_balance rt bal f =
-  let lb = Balance.Driver.start rt bal in
-  let r = f () in
-  Balance.Driver.stop lb;
-  r
-
-(* Attach AmberSan around a cluster run when requested.  Returns the
-   workload result plus the exit status (3 on findings). *)
-let run_cluster ~sanitize cfg f =
-  let san = ref None in
-  let r =
-    Amber.Cluster.run_value cfg (fun rt ->
-        if sanitize then san := Some (Analysis.Ambersan.attach rt);
-        f rt)
-  in
-  let status =
-    match !san with
-    | None -> 0
-    | Some s ->
-      let rep = Analysis.Ambersan.finalize s in
-      Format.printf "%a" Analysis.Ambersan.pp_report rep;
-      if Analysis.Ambersan.failed rep then 3 else 0
-  in
-  (r, status)
-
-(* --- profiling (shared by sor and the profile subcommand) ----------------- *)
-
-let profile_flag =
-  Arg.(
-    value & flag
-    & info [ "profile" ]
-        ~doc:
-          "Enable causal span tracing and print the virtual-time profile \
-           and critical-path decomposition after the run.")
-
-let out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "out" ] ~docv:"FILE"
-        ~doc:
-          "Write the span trace as Chrome trace-event JSON (loadable in \
-           Perfetto) to $(docv).  Implies $(b,--profile).")
-
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
-
-(* Like [run_cluster], but optionally attach the span profiler to the main
-   thread and seal it when the workload body returns (so the measured
-   region excludes teardown). *)
-let run_profiled ~profile ~sanitize cfg f =
-  let prof_box = ref None in
-  let r, status =
-    run_cluster ~sanitize cfg (fun rt ->
-        let prof = if profile then Some (Scope.Profile.attach rt) else None in
-        prof_box := prof;
-        let r = f rt in
-        Option.iter Scope.Profile.seal prof;
-        r)
-  in
-  (r, status, !prof_box)
-
-(* Print the profile section and critical-path decomposition; export the
-   Chrome trace if [out] was given.  [counters] merges watch time series
-   into the export as Perfetto counter tracks. *)
-let finish_profile ?(counters = []) ~out prof =
-  List.iter print_endline (Scope.Profile.report_lines prof);
-  Format.printf "%a" Scope.Critical_path.pp (Scope.Profile.critical_path prof);
-  match out with
-  | None -> ()
-  | Some path ->
-    let spans = Scope.Profile.spans prof in
-    write_file path
-      (Scope.Export.chrome_json ~counters ~clip:(Scope.Profile.total prof)
-         spans);
-    Printf.printf "wrote %s (%d spans)\n" path (List.length spans)
-
-(* --- watch (continuous telemetry; shared by sor, serve and watch) --------- *)
-
-let slo_conv =
-  let parse s =
-    match Watch.Slo.parse s with Ok r -> Ok r | Error e -> Error (`Msg e)
-  in
-  let print ppf (r : Watch.Slo.rule) =
-    Format.pp_print_string ppf r.Watch.Slo.text
-  in
-  Arg.conv (parse, print)
-
-type watch_opts = {
-  w_on : bool;
-  w_interval : float;
-  w_out : string option;
-  w_csv : string option;
-  w_slo : Watch.Slo.rule list;
-  w_flight : string option;
-}
-
-let watch_term =
-  let watch_flag =
-    Arg.(
-      value & flag
-      & info [ "watch" ]
-          ~doc:
-            "Enable continuous telemetry: sample the scheduler, RPC, \
-             replication, balance and serve instruments on a recurring \
-             virtual-time tick into bounded time series, summarized in the \
-             report's $(b,watch:) section and exportable with \
-             $(b,--watch-out) / $(b,--watch-csv).")
-  in
-  let interval =
-    Arg.(
-      value & opt float 5e-3
-      & info [ "watch-interval" ] ~docv:"SECONDS"
-          ~doc:"Sampling tick period, virtual seconds (default 5 ms).")
-  in
-  let watch_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "watch-out" ] ~docv:"FILE"
-          ~doc:
-            "Write every sampled series to $(docv) as JSON Lines (one \
-             series object per line).  Implies $(b,--watch).")
-  in
-  let watch_csv =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "watch-csv" ] ~docv:"FILE"
-          ~doc:
-            "Write every sampled series to $(docv) as long-format CSV \
-             (series,node,kind,time_s,value).  Implies $(b,--watch).")
-  in
-  let slo =
-    Arg.(
-      value
-      & opt_all slo_conv []
-      & info [ "slo" ] ~docv:"RULE"
-          ~doc:
-            "Multi-window SLO burn-rate rule over a sampled series, e.g. \
-             $(b,serve.latency_ms.p99<=60) or \
-             $(b,serve.latency_ms.rate>=800\\@0.2) (\\@BUDGET is the \
-             allowed bad-sample fraction, default 0.1).  The run exits 4 \
-             when both the short and the long trailing windows burn the \
-             budget at rate >= 1.  Repeatable; implies $(b,--watch).")
-  in
-  let flight =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "flight-recorder" ] ~docv:"DIR"
-          ~doc:
-            "Arm the failure flight recorder: on any typed failure (node \
-             death, object loss, first overload shed, sanitizer finding) \
-             dump a postmortem JSON artifact — the trailing trace window \
-             plus the victim node's final spans — under $(docv).")
-  in
-  let mk watch interval out csv slo flight =
-    {
-      w_on = watch || out <> None || csv <> None || slo <> [];
-      w_interval = interval;
-      w_out = out;
-      w_csv = csv;
-      w_slo = slo;
-      w_flight = flight;
-    }
-  in
-  Term.(const mk $ watch_flag $ interval $ watch_out $ watch_csv $ slo $ flight)
-
-(* Bracket a workload body with the watch subsystem: flight recorder
-   first (so failure hooks are live for the whole run), then the
-   sampling tick, stopped before the body returns so the engine can
-   quiesce.  With every option off nothing attaches and the run is
-   untouched. *)
-let with_watch rt w f =
-  let flight =
-    Option.map (fun dir -> Watch.Flight.attach rt ~dir ()) w.w_flight
-  in
-  if not w.w_on then begin
-    let r = f () in
-    (r, None, flight)
-  end
-  else begin
-    let cfg = { Watch.default_cfg with Watch.interval = w.w_interval } in
-    let t = Watch.attach rt ~cfg ~slo:w.w_slo ?flight () in
-    let r = f () in
-    Watch.stop t;
-    (r, Some t, flight)
-  end
-
-let watch_counters = function Some t -> Watch.series t | None -> []
-
-(* Print SLO verdicts and the flight-recorder summary, export the series,
-   and fold an SLO burn into the exit status as 4 (the sanitizer's 3
-   takes precedence). *)
-let finish_watch w (watch, flight) status =
-  let status = ref status in
-  (match watch with
-  | None -> ()
-  | Some t ->
-    let series = Watch.series t in
-    (match w.w_out with
-    | Some path ->
-      write_file path
-        (String.concat ""
-           (List.map (fun l -> l ^ "\n") (Scope.Export.series_jsonl series)));
-      Printf.printf "wrote %s (%d series)\n" path (List.length series)
-    | None -> ());
-    (match w.w_csv with
-    | Some path ->
-      write_file path (Scope.Export.series_csv series);
-      Printf.printf "wrote %s (%d series)\n" path (List.length series)
-    | None -> ());
-    let outcomes = Watch.outcomes t in
-    List.iter (fun o -> print_endline (Watch.Slo.outcome_line o)) outcomes;
-    if Watch.Slo.any_fired outcomes && !status = 0 then status := 4);
-  (match flight with
-  | None -> ()
-  | Some f -> List.iter print_endline (Watch.Flight.report_lines f));
-  !status
-
 (* --- sor ---------------------------------------------------------------- *)
+
+let grid_term =
+  let rows =
+    Arg.(value & opt int 122 & info [ "rows" ] ~docv:"R" ~doc:"Grid rows.")
+  in
+  let cols =
+    Arg.(value & opt int 842 & info [ "cols" ] ~docv:"C" ~doc:"Grid columns.")
+  in
+  let mk rows cols =
+    Workloads.Sor_core.with_size Workloads.Sor_core.default ~rows ~cols
+  in
+  Term.(const mk $ rows $ cols)
+
+let iters_arg =
+  Arg.(value & opt int 10 & info [ "iters"; "i" ] ~docv:"I" ~doc:"Iterations.")
 
 let sor_cmd =
   let system =
@@ -443,15 +51,6 @@ let sor_cmd =
       & opt (enum [ ("amber", `Amber); ("ivy", `Ivy); ("seq", `Seq) ]) `Amber
       & info [ "system" ] ~docv:"SYSTEM"
           ~doc:"Implementation to run: $(b,amber), $(b,ivy) or $(b,seq).")
-  in
-  let rows =
-    Arg.(value & opt int 122 & info [ "rows" ] ~docv:"R" ~doc:"Grid rows.")
-  in
-  let cols =
-    Arg.(value & opt int 842 & info [ "cols" ] ~docv:"C" ~doc:"Grid columns.")
-  in
-  let iters =
-    Arg.(value & opt int 10 & info [ "iters"; "i" ] ~docv:"I" ~doc:"Iterations.")
   in
   let sections =
     Arg.(
@@ -464,11 +63,6 @@ let sor_cmd =
       value & flag
       & info [ "no-overlap" ]
           ~doc:"Disable overlapping of edge exchange with computation.")
-  in
-  let report_flag =
-    Arg.(
-      value & flag
-      & info [ "report" ] ~doc:"Print per-node utilization and protocol counters.")
   in
   let skew =
     Arg.(
@@ -496,141 +90,80 @@ let sor_cmd =
             "Enable wire-level datagram coalescing with the given flush \
              window (e.g. 200e-6).")
   in
-  let run nodes cpus faults seed crash system rows cols iters sections no_overlap
-      report skew async coalesce bal sanitize profile out w =
-    let profile = profile || out <> None in
-    let p = Workloads.Sor_core.with_size Workloads.Sor_core.default ~rows ~cols in
-    let cfg = mk_config nodes cpus faults seed crash in
-    let cfg =
+  let run cfg coalesce system p iters sections no_overlap skew async ins =
+    let cfg : Amber.Config.t =
       match coalesce with
       | Some w when w > 0.0 ->
-        {
-          cfg with
-          Amber.Config.rpc_coalesce =
-            Some { Topaz.Rpc.default_coalesce with Topaz.Rpc.flush_window = w };
-        }
+        let c = { Topaz.Rpc.default_coalesce with flush_window = w } in
+        { cfg with rpc_coalesce = Some c }
       | Some _ | None -> cfg
     in
     let seq_pred = Workloads.Sor_seq.predicted_elapsed p ~iters in
-    let maybe_report rt =
-      if report then
-        Format.printf "@.%a" Amber.Stats_report.pp
-          (Amber.Stats_report.capture rt)
+    let sor_cfg rt =
+      let c = Workloads.Sor_amber.default_cfg rt in
+      {
+        c with
+        Workloads.Sor_amber.sections =
+          Option.value sections ~default:c.sections;
+        overlap = not no_overlap;
+        placement = (if skew then Some (fun _ -> 0) else c.placement);
+      }
     in
-    let maybe_profile wh prof =
-      match prof with
-      | None -> ()
-      | Some prof -> finish_profile ~counters:(watch_counters wh) ~out prof
+    let headline name elapsed checksum =
+      Printf.sprintf
+        "%s %dNx%dP: compute %.3f virtual s, speedup %.2f, checksum %.6g\n" name
+        cfg.nodes cfg.cpus_per_node elapsed (seq_pred /. elapsed) checksum
     in
-    match system with
-    | `Seq ->
-      let (r, wh, fl), status, prof =
-        run_profiled ~profile ~sanitize cfg (fun rt ->
-            let rwf =
-              with_watch rt w (fun () -> Workloads.Sor_seq.run rt p ~iters)
-            in
-            maybe_report rt;
-            rwf)
-      in
-      Printf.printf "sequential: %d iterations in %.3f virtual s (checksum %.6g)\n"
-        r.Workloads.Sor_seq.iterations r.Workloads.Sor_seq.compute_elapsed
-        r.Workloads.Sor_seq.checksum;
-      maybe_profile wh prof;
-      finish_watch w (wh, fl) status
-    | `Amber ->
-      let mk_sor_cfg rt =
-        let c = Workloads.Sor_amber.default_cfg rt in
-        let c =
-          match sections with
-          | Some s -> { c with Workloads.Sor_amber.sections = s }
-          | None -> c
-        in
-        let c =
-          if skew then
-            { c with Workloads.Sor_amber.placement = Some (fun _ -> 0) }
-          else c
-        in
-        { c with Workloads.Sor_amber.overlap = not no_overlap }
-      in
-      if async then begin
-        let (r, wh, fl), status, prof =
-          run_profiled ~profile ~sanitize cfg (fun rt ->
-              let c = mk_sor_cfg rt in
-              let rwf =
-                with_watch rt w (fun () ->
-                    with_balance rt bal (fun () ->
-                        Workloads.Sor_pipe.run rt p ~cfg:c ~iters ()))
-              in
-              maybe_report rt;
-              rwf)
-        in
-        Printf.printf
-          "amber-async %dNx%dP: compute %.3f virtual s, speedup %.2f, \
-           checksum %.6g\n"
-          nodes cpus r.Workloads.Sor_pipe.compute_elapsed
-          (seq_pred /. r.Workloads.Sor_pipe.compute_elapsed)
-          r.Workloads.Sor_pipe.checksum;
-        Printf.printf
-          "  remote invocations: %d, thread migrations: %d, async \
-           invocations: %d\n"
-          r.Workloads.Sor_pipe.remote_invocations
-          r.Workloads.Sor_pipe.thread_migrations
-          r.Workloads.Sor_pipe.async_invocations;
-        maybe_profile wh prof;
-        finish_watch w (wh, fl) status
-      end
-      else begin
-        let (r, wh, fl), status, prof =
-          run_profiled ~profile ~sanitize cfg (fun rt ->
-              let c = mk_sor_cfg rt in
-              let rwf =
-                with_watch rt w (fun () ->
-                    with_balance rt bal (fun () ->
-                        Workloads.Sor_amber.run rt p ~cfg:c ~iters ()))
-              in
-              maybe_report rt;
-              rwf)
-        in
-        Printf.printf
-          "amber %dNx%dP: compute %.3f virtual s, speedup %.2f, checksum %.6g\n"
-          nodes cpus r.Workloads.Sor_amber.compute_elapsed
-          (seq_pred /. r.Workloads.Sor_amber.compute_elapsed)
-          r.Workloads.Sor_amber.checksum;
-        Printf.printf "  remote invocations: %d, thread migrations: %d\n"
-          r.Workloads.Sor_amber.remote_invocations
-          r.Workloads.Sor_amber.thread_migrations;
-        maybe_profile wh prof;
-        finish_watch w (wh, fl) status
-      end
-    | `Ivy ->
-      let (r, wh, fl), status, prof =
-        run_profiled ~profile ~sanitize cfg (fun rt ->
-            let rwf =
-              with_watch rt w (fun () -> Workloads.Sor_ivy.run rt p ~iters ())
-            in
-            maybe_report rt;
-            rwf)
-      in
-      Printf.printf
-        "ivy %dNx%dP: compute %.3f virtual s, speedup %.2f, checksum %.6g\n"
-        nodes cpus r.Workloads.Sor_ivy.compute_elapsed
-        (seq_pred /. r.Workloads.Sor_ivy.compute_elapsed)
-        r.Workloads.Sor_ivy.checksum;
-      Printf.printf "  faults: %d read, %d write; invalidations: %d; %d bytes\n"
-        r.Workloads.Sor_ivy.read_faults r.Workloads.Sor_ivy.write_faults
-        r.Workloads.Sor_ivy.invalidations r.Workloads.Sor_ivy.transfer_bytes;
-      maybe_profile wh prof;
-      finish_watch w (wh, fl) status
+    (* One run path for every system: the body returns the lines the
+       result prints. *)
+    let body rt =
+      match (system, async) with
+      | `Seq, _ ->
+        let r = Workloads.Sor_seq.run rt p ~iters in
+        [
+          Printf.sprintf
+            "sequential: %d iterations in %.3f virtual s (checksum %.6g)\n"
+            r.iterations r.compute_elapsed r.checksum;
+        ]
+      | `Amber, false ->
+        let r = Workloads.Sor_amber.run rt p ~cfg:(sor_cfg rt) ~iters () in
+        [
+          headline "amber" r.compute_elapsed r.checksum;
+          Printf.sprintf "  remote invocations: %d, thread migrations: %d\n"
+            r.remote_invocations r.thread_migrations;
+        ]
+      | `Amber, true ->
+        let r = Workloads.Sor_pipe.run rt p ~cfg:(sor_cfg rt) ~iters () in
+        [
+          headline "amber-async" r.compute_elapsed r.checksum;
+          Printf.sprintf
+            "  remote invocations: %d, thread migrations: %d, async \
+             invocations: %d\n"
+            r.remote_invocations r.thread_migrations r.async_invocations;
+        ]
+      | `Ivy, _ ->
+        let r = Workloads.Sor_ivy.run rt p ~iters () in
+        [
+          headline "ivy" r.compute_elapsed r.checksum;
+          Printf.sprintf
+            "  faults: %d read, %d write; invalidations: %d; %d bytes\n"
+            r.read_faults r.write_faults r.invalidations r.transfer_bytes;
+        ]
+    in
+    (* The balancer drives only the Amber programs. *)
+    let ins =
+      match system with
+      | `Amber -> ins
+      | `Seq | `Ivy -> { ins with Harness.balance = Balance.Driver.default_cfg }
+    in
+    Harness.run cfg ins body (List.iter print_string)
   in
   let term =
     Term.(
-      const run $ nodes_arg $ cpus_arg $ faults_term $ seed_arg $ crashes_term $ system
-      $ rows $ cols $ iters $ sections $ no_overlap $ report_flag $ skew
-      $ async_flag $ coalesce_window $ balance_term $ sanitize_arg
-      $ profile_flag $ out_arg $ watch_term)
+      const run $ Harness.config $ coalesce_window $ system $ grid_term
+      $ iters_arg $ sections $ no_overlap $ skew $ async_flag $ Harness.all)
   in
-  Cmd.v (Cmd.info "sor" ~doc:"Run Red/Black SOR (the paper's §6 application).")
-    term
+  Harness.cmd "sor" ~doc:"Run Red/Black SOR (the paper's §6 application)." term
 
 (* --- workqueue ----------------------------------------------------------- *)
 
@@ -653,48 +186,31 @@ let workqueue_cmd =
       & info [ "move-at" ] ~docv:"K"
           ~doc:"Migrate the queue after K items are taken.")
   in
-  let run nodes cpus faults seed crash items batch workers move_at report sanitize =
-    let cfg = mk_config nodes cpus faults seed crash in
-    let r, status =
-      run_cluster ~sanitize cfg (fun rt ->
-          let r =
-            Workloads.Work_queue.run rt
-              {
-                Workloads.Work_queue.items;
-                work_cpu = 10e-3;
-                batch;
-                workers_per_node = workers;
-                move_queue_at = move_at;
-              }
-          in
-          if report then
-            Format.printf "@.%a" Amber.Stats_report.pp
-              (Amber.Stats_report.capture rt);
-          r)
-    in
-    Printf.printf "processed %d items in %.3f virtual s\n"
-      r.Workloads.Work_queue.processed r.Workloads.Work_queue.elapsed;
-    Array.iteri
-      (fun node count -> Printf.printf "  node %d: %d items\n" node count)
-      r.Workloads.Work_queue.per_node;
-    Printf.printf "queue finished on node %d\n"
-      r.Workloads.Work_queue.queue_final_node;
-    status
-  in
-  let report_flag =
-    Arg.(
-      value & flag
-      & info [ "report" ]
-          ~doc:"Print per-node utilization and protocol counters.")
+  let run cfg items batch workers move_at ins =
+    Harness.run cfg ins
+      (fun rt ->
+        Workloads.Work_queue.run rt
+          {
+            Workloads.Work_queue.items;
+            work_cpu = 10e-3;
+            batch;
+            workers_per_node = workers;
+            move_queue_at = move_at;
+          })
+      (fun r ->
+        Printf.printf "processed %d items in %.3f virtual s\n" r.processed
+          r.elapsed;
+        Array.iteri
+          (fun node count -> Printf.printf "  node %d: %d items\n" node count)
+          r.per_node;
+        Printf.printf "queue finished on node %d\n" r.queue_final_node)
   in
   let term =
     Term.(
-      const run $ nodes_arg $ cpus_arg $ faults_term $ seed_arg $ crashes_term $ items
-      $ batch $ workers $ move_at $ report_flag $ sanitize_arg)
+      const run $ Harness.config $ items $ batch $ workers $ move_at
+      $ Harness.with_report Harness.sanitized)
   in
-  Cmd.v
-    (Cmd.info "workqueue" ~doc:"Run the distributed work-queue workload.")
-    term
+  Harness.cmd "workqueue" ~doc:"Run the distributed work-queue workload." term
 
 (* --- matmul -------------------------------------------------------------- *)
 
@@ -711,37 +227,34 @@ let matmul_cmd =
       & info [ "no-replicate" ]
           ~doc:"Keep A and B on node 0 instead of replicating.")
   in
-  let run nodes cpus faults seed crash n block no_replicate sanitize =
-    let cfg = mk_config nodes cpus faults seed crash in
+  let run cfg n block no_replicate ins =
     let mcfg =
       {
         Workloads.Matmul.n;
         block;
         replicate = not no_replicate;
-        workers_per_node = cpus;
+        workers_per_node = cfg.Amber.Config.cpus_per_node;
         flop_cpu = 5e-6;
       }
     in
     let want = Workloads.Matmul.reference_checksum mcfg in
-    let r, status =
-      run_cluster ~sanitize cfg (fun rt -> Workloads.Matmul.run rt mcfg)
-    in
-    let ok = Float.abs (r.Workloads.Matmul.checksum -. want) <= 1e-6 *. want in
-    Printf.printf
-      "matmul %dx%d (%s): %.3f virtual s, %d remote invocations, %d copies %s\n"
-      n n
-      (if no_replicate then "no replication" else "replicated inputs")
-      r.Workloads.Matmul.elapsed r.Workloads.Matmul.remote_invocations
-      r.Workloads.Matmul.copies
-      (if ok then "(correct)" else "(WRONG)");
-    status
+    Harness.run cfg ins
+      (fun rt -> Workloads.Matmul.run rt mcfg)
+      (fun r ->
+        let ok = Float.abs (r.checksum -. want) <= 1e-6 *. want in
+        Printf.printf
+          "matmul %dx%d (%s): %.3f virtual s, %d remote invocations, %d \
+           copies %s\n"
+          n n
+          (if no_replicate then "no replication" else "replicated inputs")
+          r.elapsed r.remote_invocations r.copies
+          (if ok then "(correct)" else "(WRONG)"))
   in
   let term =
     Term.(
-      const run $ nodes_arg $ cpus_arg $ faults_term $ seed_arg $ crashes_term $ n $ block
-      $ no_replicate $ sanitize_arg)
+      const run $ Harness.config $ n $ block $ no_replicate $ Harness.sanitized)
   in
-  Cmd.v (Cmd.info "matmul" ~doc:"Run the replicated matrix multiply.") term
+  Harness.cmd "matmul" ~doc:"Run the replicated matrix multiply." term
 
 (* --- tsp ----------------------------------------------------------------- *)
 
@@ -770,48 +283,42 @@ let tsp_cmd =
             "Pathological placement: leave the per-node pools and bound \
              caches on node 0 (a load-balancer stress input).")
   in
-  let run nodes cpus faults sim_seed crash cities seed central check skew bal
-      sanitize =
-    let cfg = mk_config nodes cpus faults sim_seed crash in
+  let run cfg cities seed central check skew ins =
     let tcfg =
       {
         Workloads.Tsp.cities;
         seed;
-        workers_per_node = cpus;
+        workers_per_node = cfg.Amber.Config.cpus_per_node;
         expand_cpu = 50e-6;
         centralize = central;
         skew;
       }
     in
-    let r, status =
-      run_cluster ~sanitize cfg (fun rt ->
-          with_balance rt bal (fun () -> Workloads.Tsp.run rt tcfg))
-    in
-    Printf.printf
-      "tsp %d cities (%s): best tour cost %d in %.3f virtual s\n"
-      cities
-      (if central then "central pool" else "per-node pools")
-      r.Workloads.Tsp.best_cost r.Workloads.Tsp.elapsed;
-    Printf.printf "  tour: %s\n"
-      (String.concat " -> "
-         (Array.to_list (Array.map string_of_int r.Workloads.Tsp.best_tour)));
-    Printf.printf "  %d expansions, %d pruned, %d steals, %d remote invocations\n"
-      r.Workloads.Tsp.expansions r.Workloads.Tsp.pruned r.Workloads.Tsp.steals
-      r.Workloads.Tsp.remote_invocations;
-    if check then begin
-      let want = Workloads.Tsp.brute_force tcfg in
-      Printf.printf "  brute force says %d: %s\n" want
-        (if want = r.Workloads.Tsp.best_cost then "OPTIMAL" else "WRONG")
-    end;
-    status
+    Harness.run cfg ins
+      (fun rt -> Workloads.Tsp.run rt tcfg)
+      (fun r ->
+        Printf.printf "tsp %d cities (%s): best tour cost %d in %.3f virtual s\n"
+          cities
+          (if central then "central pool" else "per-node pools")
+          r.best_cost r.elapsed;
+        Printf.printf "  tour: %s\n"
+          (String.concat " -> "
+             (Array.to_list (Array.map string_of_int r.best_tour)));
+        Printf.printf
+          "  %d expansions, %d pruned, %d steals, %d remote invocations\n"
+          r.expansions r.pruned r.steals r.remote_invocations;
+        if check then begin
+          let want = Workloads.Tsp.brute_force tcfg in
+          Printf.printf "  brute force says %d: %s\n" want
+            (if want = r.best_cost then "OPTIMAL" else "WRONG")
+        end)
   in
   let term =
     Term.(
-      const run $ nodes_arg $ cpus_arg $ faults_term $ seed_arg $ crashes_term $ cities
-      $ seed $ central $ check $ skew $ balance_term $ sanitize_arg)
+      const run $ Harness.config $ cities $ seed $ central $ check $ skew
+      $ Harness.with_balance Harness.sanitized)
   in
-  Cmd.v
-    (Cmd.info "tsp" ~doc:"Run parallel branch-and-bound TSP with work stealing.")
+  Harness.cmd "tsp" ~doc:"Run parallel branch-and-bound TSP with work stealing."
     term
 
 (* --- readmostly ----------------------------------------------------------- *)
@@ -848,57 +355,39 @@ let readmostly_cmd =
             "Install a read replica of every object on every node (and \
              refresh after each write round).")
   in
-  let report_flag =
-    Arg.(
-      value & flag
-      & info [ "report" ]
-          ~doc:"Print per-node utilization and protocol counters.")
-  in
-  let run nodes cpus faults seed crash objects readers reads write_every replicate
-      report sanitize =
-    let cfg = mk_config nodes cpus faults seed crash in
-    let r, status =
-      run_cluster ~sanitize cfg (fun rt ->
-          let r =
-            Workloads.Read_mostly.run rt
-              {
-                Workloads.Read_mostly.objects;
-                readers_per_node = readers;
-                reads_per_reader = reads;
-                write_every;
-                replicate;
-              }
-          in
-          if report then
-            Format.printf "@.%a" Amber.Stats_report.pp
-              (Amber.Stats_report.capture rt);
-          r)
-    in
-    Printf.printf
-      "read-mostly (%s): %d reads, %d writes in %.3f virtual s (checksum %d)\n"
-      (if replicate then "replicated" else "no replication")
-      r.Workloads.Read_mostly.reads r.Workloads.Read_mostly.writes
-      r.Workloads.Read_mostly.elapsed r.Workloads.Read_mostly.checksum;
-    Printf.printf "  replica reads: %d, remote invocations: %d\n"
-      r.Workloads.Read_mostly.replica_reads
-      r.Workloads.Read_mostly.remote_invocations;
-    let lat = r.Workloads.Read_mostly.read_latency in
-    if Sim.Stats.Summary.count lat > 0 then
-      Printf.printf "  remote-node read latency: mean %.1f us, p95 %.1f us\n"
-        (Sim.Stats.Summary.mean lat *. 1e6)
-        (Sim.Stats.Summary.percentile lat 95.0 *. 1e6);
-    status
+  let run cfg objects readers reads write_every replicate ins =
+    Harness.run cfg ins
+      (fun rt ->
+        Workloads.Read_mostly.run rt
+          {
+            Workloads.Read_mostly.objects;
+            readers_per_node = readers;
+            reads_per_reader = reads;
+            write_every;
+            replicate;
+          })
+      (fun r ->
+        Printf.printf
+          "read-mostly (%s): %d reads, %d writes in %.3f virtual s (checksum \
+           %d)\n"
+          (if replicate then "replicated" else "no replication")
+          r.reads r.writes r.elapsed r.checksum;
+        Printf.printf "  replica reads: %d, remote invocations: %d\n"
+          r.replica_reads r.remote_invocations;
+        let lat = r.read_latency in
+        if Sim.Stats.Summary.count lat > 0 then
+          Printf.printf "  remote-node read latency: mean %.1f us, p95 %.1f us\n"
+            (Sim.Stats.Summary.mean lat *. 1e6)
+            (Sim.Stats.Summary.percentile lat 95.0 *. 1e6))
   in
   let term =
     Term.(
-      const run $ nodes_arg $ cpus_arg $ faults_term $ seed_arg $ crashes_term $ objects
-      $ readers $ reads $ write_every $ replicate $ report_flag
-      $ sanitize_arg)
+      const run $ Harness.config $ objects $ readers $ reads $ write_every
+      $ replicate
+      $ Harness.with_report Harness.sanitized)
   in
-  Cmd.v
-    (Cmd.info "readmostly"
-       ~doc:
-         "Run the read-mostly workload (read replicas vs remote invocations).")
+  Harness.cmd "readmostly"
+    ~doc:"Run the read-mostly workload (read replicas vs remote invocations)."
     term
 
 (* --- serve --------------------------------------------------------------- *)
@@ -943,59 +432,54 @@ let mix_conv =
   in
   Arg.conv (parse, print)
 
-(* Execute a serve scenario and print its summary (shared by the serve and
-   watch subcommands). *)
-let exec_serve ~nodes ~cfg ~scfg ~report ~bal ~sanitize ~profile ~out w =
-  let profile = profile || out <> None in
-  let (r, wh, fl), status, prof =
-    run_profiled ~profile ~sanitize cfg (fun rt ->
-        let rwf =
-          with_watch rt w (fun () ->
-              with_balance rt bal (fun () -> Serve.run rt scfg))
-        in
-        if report then
-          Format.printf "%a@." Amber.Stats_report.pp
-            (Amber.Stats_report.capture rt);
-        rwf)
-  in
-  Printf.printf
-    "serve (%s, %d nodes): issued %d, completed %d, rejected %d, failed %d \
-     in %.3f virtual s\n"
-    (match scfg.Serve.arrival with
-    | Serve.Trafficgen.Poisson r -> Printf.sprintf "poisson %.0f rps" r
-    | Serve.Trafficgen.Bursty b ->
-      Printf.sprintf "bursty %.0fx%.0f rps" b.rate
-        b.factor)
-    nodes r.Serve.issued r.Serve.completed r.Serve.rejected
-    r.Serve.failed r.Serve.elapsed;
-  Printf.printf "  goodput %.1f rps, reject %.1f%%\n" r.Serve.goodput_rps
-    (100.0 *. r.Serve.reject_frac);
-  let lat = r.Serve.latency in
-  if Sim.Stats.Summary.count lat > 0 then
-    Printf.printf "  admitted latency: p50 %.2f ms, p95 %.2f ms, p99 %.2f ms\n"
-      (Sim.Stats.Summary.percentile lat 50.0 *. 1e3)
-      (Sim.Stats.Summary.percentile lat 95.0 *. 1e3)
-      (Sim.Stats.Summary.percentile lat 99.0 *. 1e3);
-  List.iter
-    (fun (st : Serve.class_stats) ->
-      Printf.printf "  %-7s issued %d, ok %d, rej %d, fail %d\n"
-        (Serve.Trafficgen.cls_name st.Serve.cls)
-        st.Serve.issued st.Serve.completed st.Serve.rejected
-        st.Serve.failed)
-    r.Serve.per_class;
-  Option.iter
-    (fun p -> finish_profile ~counters:(watch_counters wh) ~out p)
-    prof;
-  finish_watch w (wh, fl) status
+(* The flags serve shares with watch. *)
+
+let rps_arg doc =
+  Arg.(value & opt float 400.0 & info [ "rps" ] ~docv:"RATE" ~doc)
+
+let duration_arg =
+  Arg.(
+    value & opt float 0.5
+    & info [ "duration" ] ~docv:"SECONDS" ~doc:"Traffic window, virtual seconds.")
+
+let serve_workers_arg =
+  Arg.(
+    value & opt int 2
+    & info [ "workers" ] ~docv:"N" ~doc:"Service worker threads per node.")
+
+(* Run a serve scenario and print its summary (serve and watch). *)
+let serve_run (cfg : Amber.Config.t) ins (scfg : Serve.cfg) =
+  Harness.run cfg ins
+    (fun rt -> Serve.run rt scfg)
+    (fun r ->
+      Printf.printf
+        "serve (%s, %d nodes): issued %d, completed %d, rejected %d, failed \
+         %d in %.3f virtual s\n"
+        (match scfg.arrival with
+        | Poisson r -> Printf.sprintf "poisson %.0f rps" r
+        | Bursty b -> Printf.sprintf "bursty %.0fx%.0f rps" b.rate b.factor)
+        cfg.nodes r.issued r.completed r.rejected r.failed r.elapsed;
+      Printf.printf "  goodput %.1f rps, reject %.1f%%\n" r.goodput_rps
+        (100.0 *. r.reject_frac);
+      let lat = r.latency in
+      if Sim.Stats.Summary.count lat > 0 then
+        Printf.printf
+          "  admitted latency: p50 %.2f ms, p95 %.2f ms, p99 %.2f ms\n"
+          (Sim.Stats.Summary.percentile lat 50.0 *. 1e3)
+          (Sim.Stats.Summary.percentile lat 95.0 *. 1e3)
+          (Sim.Stats.Summary.percentile lat 99.0 *. 1e3);
+      List.iter
+        (fun (st : Serve.class_stats) ->
+          Printf.printf "  %-7s issued %d, ok %d, rej %d, fail %d\n"
+            (Serve.Trafficgen.cls_name st.cls)
+            st.issued st.completed st.rejected st.failed)
+        r.per_class)
 
 let serve_cmd =
   let rps =
-    Arg.(
-      value & opt float 400.0
-      & info [ "rps" ] ~docv:"RATE"
-          ~doc:
-            "Mean arrival rate, requests per virtual second (off-phase rate \
-             when $(b,--burst) is given).")
+    rps_arg
+      "Mean arrival rate, requests per virtual second (off-phase rate when \
+       $(b,--burst) is given)."
   in
   let burst =
     Arg.(
@@ -1019,12 +503,6 @@ let serve_cmd =
       & info [ "objects" ] ~docv:"N"
           ~doc:"Service objects; key $(i,k) homes on node $(i,k) mod nodes.")
   in
-  let duration =
-    Arg.(
-      value & opt float 0.5
-      & info [ "duration" ] ~docv:"SECONDS"
-          ~doc:"Traffic window, virtual seconds.")
-  in
   let classes =
     Arg.(
       value
@@ -1033,11 +511,6 @@ let serve_cmd =
           ~doc:
             "Request class mix as read=W,write=W,compute=W relative \
              weights (default read=0.7,write=0.2,compute=0.1).")
-  in
-  let workers =
-    Arg.(
-      value & opt int 2
-      & info [ "workers" ] ~docv:"N" ~doc:"Service worker threads per node.")
   in
   let admission =
     Arg.(
@@ -1075,25 +548,15 @@ let serve_cmd =
       & info [ "replicate" ]
           ~doc:"Replicate every service object on every node.")
   in
-  let report_flag =
-    Arg.(
-      value & flag
-      & info [ "report" ]
-          ~doc:
-            "Print the full cluster report (including the per-class \
-             $(b,serve:) section) after the run.")
-  in
-  let run nodes cpus faults seed crash rps burst zipf objects duration classes
-      workers admission admit_rate admit_burst cutoff replicate report bal
-      sanitize profile out w =
-    let cfg = mk_config nodes cpus faults seed crash in
+  let run cfg rps burst zipf objects duration classes workers admission
+      admit_rate admit_burst cutoff replicate ins =
     let arrival =
       match burst with
       | None -> Serve.Trafficgen.Poisson rps
       | Some (factor, on_mean, off_mean) ->
         Serve.Trafficgen.Bursty { rate = rps; factor; on_mean; off_mean }
     in
-    let scfg =
+    serve_run cfg ins
       {
         Serve.default_cfg with
         arrival;
@@ -1104,76 +567,46 @@ let serve_cmd =
         workers_per_node = workers;
         replicate;
         admission =
-          (if admission then
-             Some { Serve.admit_rate; admit_burst; cutoff }
+          (if admission then Some { Serve.admit_rate; admit_burst; cutoff }
            else None);
       }
-    in
-    exec_serve ~nodes ~cfg ~scfg ~report ~bal ~sanitize ~profile ~out w
   in
   let term =
     Term.(
-      const run $ nodes_arg $ cpus_arg $ faults_term $ seed_arg $ crashes_term
-      $ rps $ burst $ zipf $ objects $ duration $ classes $ workers $ admission
-      $ admit_rate $ admit_burst $ cutoff $ replicate $ report_flag
-      $ balance_term $ sanitize_arg $ profile_flag $ out_arg $ watch_term)
+      const run $ Harness.config $ rps $ burst $ zipf $ objects $ duration_arg
+      $ classes $ serve_workers_arg $ admission $ admit_rate $ admit_burst
+      $ cutoff $ replicate $ Harness.all)
   in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Serve open-loop traffic (Poisson or bursty, Zipf-skewed, mixed \
-          read/write/compute) with per-class SLO reporting and optional \
-          admission control.")
+  Harness.cmd "serve"
+    ~doc:
+      "Serve open-loop traffic (Poisson or bursty, Zipf-skewed, mixed \
+       read/write/compute) with per-class SLO reporting and optional \
+       admission control."
     term
 
 (* --- watch (one-command telemetry smoke over serve) ----------------------- *)
 
 let watch_cmd =
   let rps =
-    Arg.(
-      value & opt float 400.0
-      & info [ "rps" ] ~docv:"RATE"
-          ~doc:
-            "Mean arrival rate, requests per virtual second (push it past \
-             capacity to watch the SLO monitors trip).")
+    rps_arg
+      "Mean arrival rate, requests per virtual second (push it past capacity \
+       to watch the SLO monitors trip)."
   in
-  let duration =
-    Arg.(
-      value & opt float 0.5
-      & info [ "duration" ] ~docv:"SECONDS"
-          ~doc:"Traffic window, virtual seconds.")
-  in
-  let workers =
-    Arg.(
-      value & opt int 2
-      & info [ "workers" ] ~docv:"N" ~doc:"Service worker threads per node.")
-  in
-  let report_flag =
-    Arg.(
-      value & flag
-      & info [ "report" ]
-          ~doc:
-            "Print the full cluster report (including the $(b,watch:) \
-             series summary) after the run.")
-  in
-  let run nodes cpus faults seed crash rps duration workers report bal sanitize
-      profile out w =
-    let cfg = mk_config nodes cpus faults seed crash in
+  let run cfg rps duration workers (ins : Harness.instruments) =
     (* Telemetry is the point of this subcommand: force the tick on and,
        with no explicit rules, watch the canonical serving objective. *)
     let default_rules =
-      List.filter_map
-        (fun s -> Result.to_option (Watch.Slo.parse s))
-        [ "serve.latency_ms.p99<=60" ]
+      Result.to_list (Watch.Slo.parse "serve.latency_ms.p99<=60")
     in
-    let w =
+    let w = ins.watch in
+    let watch =
       {
         w with
-        w_on = true;
+        Harness.w_on = true;
         w_slo = (if w.w_slo = [] then default_rules else w.w_slo);
       }
     in
-    let scfg =
+    serve_run cfg { ins with watch }
       {
         Serve.default_cfg with
         arrival = Serve.Trafficgen.Poisson rps;
@@ -1182,22 +615,18 @@ let watch_cmd =
         admission =
           Some { Serve.admit_rate = 0.0; admit_burst = 4.0; cutoff = 8 };
       }
-    in
-    exec_serve ~nodes ~cfg ~scfg ~report ~bal ~sanitize ~profile ~out w
   in
   let term =
     Term.(
-      const run $ nodes_arg $ cpus_arg $ faults_term $ seed_arg $ crashes_term
-      $ rps $ duration $ workers $ report_flag $ balance_term $ sanitize_arg
-      $ profile_flag $ out_arg $ watch_term)
+      const run $ Harness.config $ rps $ duration_arg $ serve_workers_arg
+      $ Harness.all)
   in
-  Cmd.v
-    (Cmd.info "watch"
-       ~doc:
-         "Run an admission-controlled serve scenario under continuous \
-          telemetry: sampled time series, a default p99 latency SLO \
-          burn-rate monitor (exit 4 when it fires), and optional series \
-          exports / flight recorder.")
+  Harness.cmd "watch"
+    ~doc:
+      "Run an admission-controlled serve scenario under continuous \
+       telemetry: sampled time series, a default p99 latency SLO burn-rate \
+       monitor (exit 4 when it fires), and optional series exports / flight \
+       recorder."
     term
 
 (* --- trace --------------------------------------------------------------- *)
@@ -1216,16 +645,6 @@ let trace_cmd =
           ~doc:
             "Only records of this category (create, migrate, move, net, \
              sched).")
-  in
-  let lint_flag =
-    Arg.(
-      value & flag
-      & info [ "lint" ]
-          ~doc:
-            "Record sanitizer events during the run and lint the trace \
-             offline with AmberSan afterwards.  Findings are reported on \
-             stdout and the exit status is 3, exactly like an online \
-             $(b,--sanitize) run; a clean trace exits 0.")
   in
   let variant =
     Arg.(
@@ -1255,107 +674,81 @@ let trace_cmd =
             "Also collect causal spans during the run and write them to \
              $(docv) as Chrome trace-event JSON (loadable in Perfetto).")
   in
-  let run nodes cpus faults seed crash limit category lint json out variant =
-    let cfg = mk_config nodes cpus faults seed crash in
-    let rt_box = ref None in
-    let () =
-      Amber.Cluster.run_value cfg (fun rt ->
-          rt_box := Some rt;
-          Sim.Trace.set_enabled (Amber.Runtime.trace rt) true;
-          if out <> None || lint then
-            Sim.Span.set_enabled (Amber.Runtime.spans rt) true;
-          if lint then
-            (* Record the "san" event stream without online analysis. *)
-            ignore (Analysis.Ambersan.attach ~analyze:false rt : Analysis.Ambersan.t);
-          let counter = Amber.Api.create rt ~name:"counter" (ref 0) in
-          Amber.Api.move_to rt counter ~dest:(min 1 (nodes - 1));
-          let lock = Amber.Sync.Lock.create rt () in
-          (* The racy variant runs the same two-step increment without the
-             lock: the Read and Write steps of different workers carry no
-             happens-before edge, which offline lint must flag. *)
-          let increment =
-            match variant with
-            | `Clean ->
-              fun () ->
-                Amber.Sync.Lock.with_lock rt lock (fun () ->
-                    Amber.Api.invoke rt counter (fun c -> incr c))
-            | `Racy ->
-              fun () ->
-                let v =
-                  Amber.Invoke.invoke rt ~mode:Amber.San_hooks.Read counter
-                    (fun c -> !c)
-                in
-                Sim.Fiber.consume 200e-6;
-                Amber.Invoke.invoke rt ~mode:Amber.San_hooks.Write counter
-                  (fun c -> c := v + 1)
-          in
-          let ts =
-            List.init 3 (fun i ->
-                Amber.Api.start rt ~name:(Printf.sprintf "w%d" i) (fun () ->
-                    for _ = 1 to 3 do
-                      increment ()
-                    done))
-          in
-          List.iter (fun t -> Amber.Api.join rt t) ts)
+  let run cfg limit category json out variant ins =
+    let body rt =
+      Sim.Trace.set_enabled (Amber.Runtime.trace rt) true;
+      if out <> None then Sim.Span.set_enabled (Amber.Runtime.spans rt) true;
+      let counter = Amber.Api.create rt ~name:"counter" (ref 0) in
+      Amber.Api.move_to rt counter ~dest:(min 1 (cfg.Amber.Config.nodes - 1));
+      let lock = Amber.Sync.Lock.create rt () in
+      (* The racy variant runs the same two-step increment without the
+         lock: the Read and Write steps of different workers carry no
+         happens-before edge, which offline lint must flag. *)
+      let increment =
+        match variant with
+        | `Clean ->
+          fun () ->
+            Amber.Sync.Lock.with_lock rt lock (fun () ->
+                Amber.Api.invoke rt counter (fun c -> incr c))
+        | `Racy ->
+          fun () ->
+            let v =
+              Amber.Invoke.invoke rt ~mode:Amber.San_hooks.Read counter
+                (fun c -> !c)
+            in
+            Sim.Fiber.consume 200e-6;
+            Amber.Invoke.invoke rt ~mode:Amber.San_hooks.Write counter
+              (fun c -> c := v + 1)
+      in
+      let ts =
+        List.init 3 (fun i ->
+            Amber.Api.start rt ~name:(Printf.sprintf "w%d" i) (fun () ->
+                for _ = 1 to 3 do
+                  increment ()
+                done))
+      in
+      List.iter (fun t -> Amber.Api.join rt t) ts;
+      rt
     in
-    match !rt_box with
-    | None -> 0
-    | Some rt ->
+    let print rt =
       let trace = Amber.Runtime.trace rt in
       let records =
         match category with
         | None -> Sim.Trace.records trace
         | Some c -> Sim.Trace.by_category trace c
       in
-      let total = List.length records in
+      let shown = List.filteri (fun i _ -> i < limit) records in
       if json then
-        List.iteri
-          (fun i r ->
-            if i < limit then
-              print_endline (Scope.Export.trace_record_json r))
-          records
+        List.iter
+          (fun r -> print_endline (Scope.Export.trace_record_json r))
+          shown
       else begin
-        Printf.printf "protocol trace (%d records, showing up to %d):\n" total
-          limit;
-        List.iteri
-          (fun i r ->
-            if i < limit then
-              Format.printf "%a@." Sim.Trace.pp_record r)
-          records
+        Printf.printf "protocol trace (%d records, showing up to %d):\n"
+          (List.length records) limit;
+        List.iter (Format.printf "%a@." Sim.Trace.pp_record) shown
       end;
-      (match out with
+      match out with
       | None -> ()
       | Some path ->
         let spans = Sim.Span.spans (Amber.Runtime.spans rt) in
-        write_file path (Scope.Export.chrome_json spans);
+        Harness.write_file path (Scope.Export.chrome_json spans);
         if not json then
-          Printf.printf "wrote %s (%d spans)\n" path (List.length spans));
-      if lint then begin
-        let rep = Analysis.Ambersan.lint_trace (Sim.Trace.records trace) in
-        Format.printf "offline lint: %a" Analysis.Ambersan.pp_report rep;
-        let span_findings =
-          Analysis.Spanlint.lint (Sim.Span.spans (Amber.Runtime.spans rt))
-        in
-        (match span_findings with
-        | [] -> print_endline "span balance: OK"
-        | fs ->
-          Printf.printf "span balance: %d findings\n" (List.length fs);
-          List.iter (fun f -> print_endline ("  " ^ f)) fs);
-        if Analysis.Ambersan.failed rep || span_findings <> [] then 3 else 0
-      end
-      else 0
+          Printf.printf "wrote %s (%d spans)\n" path (List.length spans)
+    in
+    Harness.run cfg ins body print
+  in
+  let lint =
+    Term.(const (fun lint -> { Harness.off with lint }) $ Harness.lint_arg)
   in
   let term =
     Term.(
-      const run $ nodes_arg $ cpus_arg $ faults_term $ seed_arg $ crashes_term $ limit
-      $ category $ lint_flag $ json_flag $ trace_out $ variant)
+      const run $ Harness.config $ limit $ category $ json_flag $ trace_out
+      $ variant $ lint)
   in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:"Run a small scenario with protocol tracing enabled and dump it.")
-    term
+  Harness.cmd "trace"
+    ~doc:"Run a small scenario with protocol tracing enabled and dump it." term
 
-(* --- profile -------------------------------------------------------------- *)
+(* --- profile (sor under the span profiler) -------------------------------- *)
 
 let profile_cmd =
   let workload =
@@ -1364,54 +757,33 @@ let profile_cmd =
       & pos 0 (enum [ ("sor", `Sor) ]) `Sor
       & info [] ~docv:"WORKLOAD" ~doc:"Workload to profile (currently $(b,sor)).")
   in
-  let rows =
-    Arg.(value & opt int 122 & info [ "rows" ] ~docv:"R" ~doc:"Grid rows.")
-  in
-  let cols =
-    Arg.(value & opt int 842 & info [ "cols" ] ~docv:"C" ~doc:"Grid columns.")
-  in
-  let iters =
-    Arg.(value & opt int 10 & info [ "iters"; "i" ] ~docv:"I" ~doc:"Iterations.")
-  in
   let jsonl_flag =
     Arg.(
       value & flag
       & info [ "jsonl" ]
           ~doc:"Also dump every span as one JSON object per line on stdout.")
   in
-  let run nodes cpus faults seed crash workload rows cols iters out jsonl =
-    let cfg = mk_config nodes cpus faults seed crash in
-    match workload with
-    | `Sor ->
-      let p =
-        Workloads.Sor_core.with_size Workloads.Sor_core.default ~rows ~cols
-      in
-      let r, status, prof =
-        run_profiled ~profile:true ~sanitize:false cfg (fun rt ->
-            Workloads.Sor_amber.run rt p ~iters ())
-      in
-      let prof = Option.get prof in
-      Printf.printf "amber %dNx%dP: compute %.3f virtual s, checksum %.6g\n"
-        nodes cpus r.Workloads.Sor_amber.compute_elapsed
-        r.Workloads.Sor_amber.checksum;
-      finish_profile ~out prof;
-      if jsonl then
-        List.iter print_endline
-          (Scope.Export.spans_jsonl ~clip:(Scope.Profile.total prof)
-             (Scope.Profile.spans prof));
-      status
+  let run (cfg : Amber.Config.t) `Sor p iters ins =
+    Harness.run cfg ins
+      (fun rt -> Workloads.Sor_amber.run rt p ~iters ())
+      (fun r ->
+        Printf.printf "amber %dNx%dP: compute %.3f virtual s, checksum %.6g\n"
+          cfg.nodes cfg.cpus_per_node r.compute_elapsed r.checksum)
+  in
+  let profiled =
+    Term.(
+      const (fun out jsonl -> { Harness.off with profile = true; out; jsonl })
+      $ Harness.out_arg $ jsonl_flag)
   in
   let term =
     Term.(
-      const run $ nodes_arg $ cpus_arg $ faults_term $ seed_arg $ crashes_term $ workload
-      $ rows $ cols $ iters $ out_arg $ jsonl_flag)
+      const run $ Harness.config $ workload $ grid_term $ iters_arg $ profiled)
   in
-  Cmd.v
-    (Cmd.info "profile"
-       ~doc:
-         "Run a workload under the span profiler: per-operation latency \
-          summaries, per-node busy/blocked attribution and a critical-path \
-          decomposition of the main thread's elapsed time.")
+  Harness.cmd "profile"
+    ~doc:
+      "Run a workload under the span profiler: per-operation latency \
+       summaries, per-node busy/blocked attribution and a critical-path \
+       decomposition of the main thread's elapsed time."
     term
 
 (* --- fixture ------------------------------------------------------------- *)
@@ -1437,29 +809,24 @@ let fixture_cmd =
       value & opt int 25
       & info [ "increments" ] ~docv:"K" ~doc:"Increments per thread.")
   in
-  let run nodes cpus faults seed crash variant threads increments sanitize =
-    let cfg = mk_config nodes cpus faults seed crash in
-    let (r : Workloads.Fixtures.result), status =
-      run_cluster ~sanitize cfg (fun rt ->
-          match variant with
-          | `Racy -> Workloads.Fixtures.racy_counter rt ~threads ~increments
-          | `Clean -> Workloads.Fixtures.clean_counter rt ~threads ~increments)
-    in
-    Printf.printf "counter: %d of %d expected increments%s\n"
-      r.Workloads.Fixtures.final r.Workloads.Fixtures.expected
-      (if r.Workloads.Fixtures.final = r.Workloads.Fixtures.expected then ""
-       else " (updates lost)");
-    status
+  let run cfg variant threads increments ins =
+    Harness.run cfg ins
+      (fun rt ->
+        match variant with
+        | `Racy -> Workloads.Fixtures.racy_counter rt ~threads ~increments
+        | `Clean -> Workloads.Fixtures.clean_counter rt ~threads ~increments)
+      (fun r ->
+        Printf.printf "counter: %d of %d expected increments%s\n" r.final
+          r.expected
+          (if r.final = r.expected then "" else " (updates lost)"))
   in
   let term =
     Term.(
-      const run $ nodes_arg $ cpus_arg $ faults_term $ seed_arg $ crashes_term $ variant
-      $ threads $ increments $ sanitize_arg)
+      const run $ Harness.config $ variant $ threads $ increments
+      $ Harness.sanitized)
   in
-  Cmd.v
-    (Cmd.info "fixture"
-       ~doc:"Run a seeded sanitizer fixture (racy or clean shared counter).")
-    term
+  Harness.cmd "fixture"
+    ~doc:"Run a seeded sanitizer fixture (racy or clean shared counter)." term
 
 (* --- check (schedule-space model checking) -------------------------------- *)
 
@@ -1536,61 +903,62 @@ let check_cmd =
              that DFS only reaches one race reversal at a time; \
              counterexamples stay replayable.")
   in
-  let run fixture max_schedules max_depth fault_budget schedule_out
-      schedule_in mutate random =
-    let mutation =
-      match mutate with
-      | None -> None
-      | Some m -> (
-        match Analysis.Modelcheck.mutation_of_string m with
-        | Some m -> Some m
-        | None ->
-          failwith
-            (Printf.sprintf "unknown mutation %S (known: %s)" m
-               (String.concat ", " Analysis.Modelcheck.mutation_names)))
-    in
-    let resolve name =
-      match Analysis.Modelcheck.find_fixture name with
-      | Some f -> f
+  (* Resolve the fixtures, the mutation and the schedule to replay while
+     the command line is parsed, so a bad name or file is a usage error. *)
+  let plan fixture mutate schedule_in =
+    let ( let* ) = Result.bind in
+    let lookup what find known name =
+      match find name with
+      | Some x -> Ok x
       | None ->
-        failwith
-          (Printf.sprintf "unknown fixture %S (known: %s)" name
-             (String.concat ", "
-                (List.map Analysis.Modelcheck.fixture_name
-                   Analysis.Modelcheck.fixtures)))
+        Error
+          (Printf.sprintf "unknown %s %S (known: %s)" what name
+             (String.concat ", " known))
     in
-    let fixtures =
+    let* mutate =
+      match mutate with
+      | None -> Ok Fun.id
+      | Some m ->
+        Result.map Analysis.Modelcheck.apply_mutation
+          (lookup "mutation" Analysis.Modelcheck.mutation_of_string
+             Analysis.Modelcheck.mutation_names m)
+    in
+    let* fixtures =
       match fixture with
-      | "all" -> Analysis.Modelcheck.fixtures
-      | name -> [ resolve name ]
+      | "all" -> Ok Analysis.Modelcheck.fixtures
+      | name ->
+        Result.map
+          (fun f -> [ f ])
+          (lookup "fixture" Analysis.Modelcheck.find_fixture
+             (List.map Analysis.Modelcheck.fixture_name
+                Analysis.Modelcheck.fixtures)
+             name)
     in
-    let fixtures =
-      match mutation with
-      | None -> fixtures
-      | Some m -> List.map (Analysis.Modelcheck.apply_mutation m) fixtures
-    in
-    match schedule_in with
-    | Some path -> (
-      let fx =
-        match fixtures with
-        | [ f ] -> f
-        | _ -> failwith "--schedule-in needs a single named fixture"
-      in
-      match Analysis.Schedule.load path with
-      | Error e -> failwith e
-      | Ok sched -> (
-        Printf.printf "replaying %d recorded decisions against %s:\n"
-          (List.length sched)
-          (Analysis.Modelcheck.fixture_name fx);
-        match Analysis.Modelcheck.replay ~max_depth fx sched with
-        | [] ->
-          print_endline "replay: no violation";
-          0
-        | violations ->
-          List.iter (fun v -> Printf.printf "  VIOLATION: %s\n" v) violations;
-          3))
+    let fixtures = List.map mutate fixtures in
+    match (schedule_in, fixtures) with
+    | None, _ -> Ok (fixtures, None)
+    | Some path, [ fx ] ->
+      let* sched = Analysis.Schedule.load path in
+      Ok (fixtures, Some (fx, sched))
+    | Some _, _ -> Error "--schedule-in needs a single named fixture"
+  in
+  let run (fixtures, replay) max_schedules max_depth fault_budget schedule_out
+      random =
+    let print_violations = List.iter (Printf.printf "  VIOLATION: %s\n") in
+    match replay with
+    | Some (fx, sched) -> (
+      Printf.printf "replaying %d recorded decisions against %s:\n"
+        (List.length sched)
+        (Analysis.Modelcheck.fixture_name fx);
+      match Analysis.Modelcheck.replay ~max_depth fx sched with
+      | [] ->
+        print_endline "replay: no violation";
+        Cmd.Exit.ok
+      | violations ->
+        print_violations violations;
+        Harness.findings)
     | None ->
-      let status = ref 0 in
+      let status = ref Cmd.Exit.ok in
       List.iter
         (fun fx ->
           let name = Analysis.Modelcheck.fixture_name fx in
@@ -1611,10 +979,8 @@ let check_cmd =
           match o.Analysis.Modelcheck.counterexample with
           | None -> Printf.printf "  %s: no violation found\n" name
           | Some (sched, violations) ->
-            status := 3;
-            List.iter
-              (fun v -> Printf.printf "  VIOLATION: %s\n" v)
-              violations;
+            status := Harness.findings;
+            print_violations violations;
             Printf.printf "  counterexample (%d decisions):\n"
               (List.length sched);
             Format.printf "%a" Analysis.Schedule.pp sched;
@@ -1638,22 +1004,21 @@ let check_cmd =
   in
   let term =
     Term.(
-      const run $ fixture_arg $ max_schedules $ max_depth $ fault_budget
-      $ schedule_out $ schedule_in $ mutate $ random)
+      const run
+      $ cli_parse_result' (const plan $ fixture_arg $ mutate $ schedule_in)
+      $ max_schedules $ max_depth $ fault_budget $ schedule_out $ random)
   in
-  Cmd.v
-    (Cmd.info "check"
-       ~doc:
-         "Model-check a protocol fixture: systematically explore the \
-          schedule space (event, fiber and fault choices) with \
-          partial-order reduction, auditing every execution with AmberSan \
-          plus terminal invariants.  Exit 3 with a replayable \
-          counterexample schedule on any violation.")
+  Harness.cmd "check"
+    ~doc:
+      "Model-check a protocol fixture: systematically explore the schedule \
+       space (event, fiber and fault choices) with partial-order reduction, \
+       auditing every execution with AmberSan plus terminal invariants.  \
+       Exit 3 with a replayable counterexample schedule on any violation."
     term
 
 let () =
   let doc = "Amber: parallel programming on a network of multiprocessors" in
-  let info = Cmd.info "amber_sim" ~version:"1.0" ~doc in
+  let info = Cmd.info "amber_sim" ~version:"1.0" ~doc ~exits:Harness.exits in
   exit
     (Cmd.eval'
        (Cmd.group info

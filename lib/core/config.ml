@@ -45,7 +45,6 @@ type t = {
          dangles.  Exists only so the model checker can demonstrate the
          repair step is load-bearing *)
   seed : int64;
-  trace_capacity : int;
 }
 
 let default =
@@ -75,7 +74,6 @@ let default =
     rpc_max_retransmits = 30;
     crash_skip_repair = false;
     seed = 0xA3BE5L;
-    trace_capacity = 8192;
   }
 
 let make ~nodes ~cpus ?(cost = Cost_model.default) ?(seed = default.seed)

@@ -66,7 +66,6 @@ type t = {
           of fail-stop recovery.  Exists only so the model checker can
           demonstrate the step is load-bearing; default [false] *)
   seed : int64;
-  trace_capacity : int;
 }
 
 (** The paper's testbed defaults: CVAX Fireflies with 4 usable CPUs on a

@@ -110,6 +110,9 @@ let fresh_counters () =
     crash_chain_repairs = 0;
   }
 
+(* Records kept by the protocol trace ring once tracing is enabled. *)
+let trace_capacity = 8192
+
 (* Everything except arming the crash injector, which needs the crash and
    recovery machinery defined at the bottom of this file.  [create] (the
    public constructor) is [create_raw] plus [schedule_crashes]. *)
@@ -117,7 +120,7 @@ let create_raw cfg =
   Config.validate cfg;
   Hw.Machine.reset_tids ();
   let eng = Sim.Engine.create ~seed:cfg.Config.seed () in
-  let trc = Sim.Trace.create ~capacity:cfg.Config.trace_capacity () in
+  let trc = Sim.Trace.create ~capacity:trace_capacity () in
   let spans =
     Sim.Span.create
       ~clock:(fun () -> Sim.Engine.now eng)

@@ -263,57 +263,3 @@ module Log_histogram = struct
       Format.fprintf ppf "n=%d mean=%.6g min=%.6g max=%.6g p50=%.6g p99=%.6g"
         t.n (mean t) t.min t.max (percentile t 50.0) (percentile t 99.0)
 end
-
-module Histogram = struct
-  type t = {
-    lo : float;
-    hi : float;
-    width : float;
-    counts : int array;
-    mutable underflow : int;
-    mutable overflow : int;
-    mutable n : int;
-  }
-
-  let create ~lo ~hi ~buckets =
-    if buckets <= 0 then invalid_arg "Histogram.create: buckets";
-    if not (hi > lo) then invalid_arg "Histogram.create: bounds";
-    {
-      lo;
-      hi;
-      width = (hi -. lo) /. float_of_int buckets;
-      counts = Array.make buckets 0;
-      underflow = 0;
-      overflow = 0;
-      n = 0;
-    }
-
-  let add t x =
-    t.n <- t.n + 1;
-    if x < t.lo then t.underflow <- t.underflow + 1
-    else if x >= t.hi then t.overflow <- t.overflow + 1
-    else begin
-      let i = int_of_float ((x -. t.lo) /. t.width) in
-      let i = Stdlib.min (Array.length t.counts - 1) i in
-      t.counts.(i) <- t.counts.(i) + 1
-    end
-
-  let count t = t.n
-  let bucket_counts t = Array.copy t.counts
-  let underflow t = t.underflow
-  let overflow t = t.overflow
-
-  let bucket_bounds t i =
-    if i < 0 || i >= Array.length t.counts then
-      invalid_arg "Histogram.bucket_bounds";
-    (t.lo +. (float_of_int i *. t.width), t.lo +. (float_of_int (i + 1) *. t.width))
-
-  let pp ppf t =
-    Format.fprintf ppf "hist n=%d under=%d over=%d [" t.n t.underflow
-      t.overflow;
-    Array.iteri
-      (fun i c -> if i > 0 then Format.fprintf ppf "; %d" c
-        else Format.fprintf ppf "%d" c)
-      t.counts;
-    Format.fprintf ppf "]"
-end

@@ -116,21 +116,3 @@ module Log_histogram : sig
   val clear : t -> unit
   val pp : Format.formatter -> t -> unit
 end
-
-(** Fixed-bucket histogram over [\[lo, hi)] with uniform bucket width;
-    samples outside the range land in underflow/overflow counters. *)
-module Histogram : sig
-  type t
-
-  val create : lo:float -> hi:float -> buckets:int -> t
-  val add : t -> float -> unit
-  val count : t -> int
-  val bucket_counts : t -> int array
-  val underflow : t -> int
-  val overflow : t -> int
-
-  (** [(lo, hi)] bounds of bucket [i]. *)
-  val bucket_bounds : t -> int -> float * float
-
-  val pp : Format.formatter -> t -> unit
-end

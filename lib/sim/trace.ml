@@ -13,17 +13,21 @@ type record = {
 type t = {
   mutable enabled : bool;
   capacity : int;
-  buf : record option array;
+  mutable buf : record option array;  (* empty until first enabled *)
   mutable next : int;  (* next write position *)
   mutable count : int; (* total records written (monotone) *)
 }
 
 let create ?(capacity = 4096) () =
   if capacity <= 0 then invalid_arg "Trace.create: capacity";
-  { enabled = false; capacity; buf = Array.make capacity None; next = 0;
-    count = 0 }
+  { enabled = false; capacity; buf = [||]; next = 0; count = 0 }
 
-let set_enabled t flag = t.enabled <- flag
+(* The ring is allocated on first enable: most runs never trace, and a
+   cluster boots a fresh trace every time. *)
+let set_enabled t flag =
+  if flag && Array.length t.buf = 0 then t.buf <- Array.make t.capacity None;
+  t.enabled <- flag
+
 let enabled t = t.enabled
 
 let emit t ~time ?(node = -1) ?(cpu = -1) ?(tid = -1) ?(obj = -1) ?(span = -1)
@@ -63,7 +67,7 @@ let by_category t category =
   List.filter (fun r -> String.equal r.category category) (records t)
 
 let clear t =
-  Array.fill t.buf 0 t.capacity None;
+  Array.fill t.buf 0 (Array.length t.buf) None;
   t.next <- 0;
   t.count <- 0
 

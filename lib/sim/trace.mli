@@ -3,7 +3,8 @@
     A bounded ring buffer of timestamped records.  Tracing is off by default
     and costs one branch per call when disabled; tests and the CLI enable it
     to inspect protocol-level event sequences (invocations, migrations,
-    packets, faults).
+    packets, faults).  The ring is allocated on the first
+    [set_enabled t true], so a trace that is never enabled holds no buffer.
 
     Overflow semantics: the ring keeps the {e newest} [capacity] records and
     silently drops the oldest ([dropped] counts the casualties).  Category

@@ -16,7 +16,8 @@
     All intra-section coordination is direct shared-memory signalling —
     the threads are bound to the section object and therefore co-resident
     (§3.6's co-residency guarantee), so only cheap hardware-level
-    synchronization is charged. *)
+    synchronization is charged.  The section engine is {!Sor_section},
+    shared with {!Sor_pipe}. *)
 
 type cfg = {
   sections : int;

@@ -1,16 +1,17 @@
 module A = Amber
+open Sor_section
 
 (* Pipelined Red/Black SOR: the Sor_amber program restructured around
    asynchronous invocation (Amber-Async).  The numerical work, the
-   section partitioning and the phase gating are identical to Sor_amber
-   — the checksum is bit-for-bit the same — but the per-neighbor
-   edge-push threads are gone.  Instead the coordinator captures the
-   finished edge co-residently and ships it with [Future.invoke_async],
-   overlapping the exchange (and the end-of-iteration convergence
-   barrier) against the interior computation.  Per-side depth-1
-   pipelining — await the previous phase's push future before issuing
-   the next — serializes same-destination ghost installs so the
-   [recv_*] max-gating stays correct. *)
+   section partitioning and the phase gating are Sor_section's, shared
+   with Sor_amber — the checksum is bit-for-bit the same — but the
+   per-neighbor edge-push threads are gone.  Instead the coordinator
+   captures the finished edge co-residently and ships it with
+   [Future.invoke_async], overlapping the exchange (and the
+   end-of-iteration convergence barrier) against the interior
+   computation.  Per-side depth-1 pipelining — await the previous phase's
+   push future before issuing the next — serializes same-destination
+   ghost installs so the [recv_*] max-gating stays correct. *)
 
 type result = {
   iterations : int;
@@ -22,386 +23,89 @@ type result = {
   async_invocations : int;
 }
 
-(* --- section state (same layout and invariants as Sor_amber) ------------ *)
-
-type section = {
-  idx : int;
-  rows : int;
-  ncols : int;
-  col0 : int;  (* global 1-based column index of local column 1 *)
-  stride : int;
-  cells : float array;
-  mutable comp_phase : int;  (* latest phase released to workers *)
-  mutable interior_release : int;  (* latest phase whose interior may run *)
-  mutable border_done : int;  (* cumulative border-slice completions *)
-  mutable workers_done : int;  (* cumulative phase completions *)
-  mutable recv_left : int;  (* latest phase received from the left *)
-  mutable recv_right : int;
-  mutable delta : float;
-  mutable stop : bool;
-  mutable waiters : (unit -> unit) list;
-}
-
-let sync_cost rt = (A.Runtime.cost rt).A.Cost_model.lock_fast_cpu
-
-let notify rt s =
-  Sim.Fiber.consume (sync_cost rt);
-  let ws = s.waiters in
-  s.waiters <- [];
-  List.iter (fun wake -> wake ()) ws
-
-let rec wait_for rt s pred =
-  Sim.Fiber.consume (sync_cost rt);
-  if not (pred ()) then begin
-    Sim.Fiber.block (fun wake -> s.waiters <- wake :: s.waiters);
-    wait_for rt s pred
-  end
-
-let phase_color phase = if phase land 1 = 1 then Sor_core.Red else Sor_core.Black
-
-let compute_range s (p : Sor_core.params) color ~c_from ~c_to =
-  let pts = ref 0 and delta = ref 0.0 in
-  for lc = c_from to c_to do
-    let gc = s.col0 + lc - 1 in
-    for r = 1 to s.rows do
-      match (Sor_core.color_of ~r ~c:gc, color) with
-      | Sor_core.Red, Sor_core.Red | Sor_core.Black, Sor_core.Black ->
-        let i = (r * s.stride) + lc in
-        let old = s.cells.(i) in
-        let avg =
-          (s.cells.(i - 1) +. s.cells.(i + 1) +. s.cells.(i - s.stride)
-          +. s.cells.(i + s.stride))
-          /. 4.0
-        in
-        let next = old +. (p.Sor_core.omega *. (avg -. old)) in
-        s.cells.(i) <- next;
-        incr pts;
-        let d = Float.abs (next -. old) in
-        if d > !delta then delta := d
-      | Sor_core.Red, Sor_core.Black | Sor_core.Black, Sor_core.Red -> ()
-    done
-  done;
-  (!pts, !delta)
-
-let charge_points _rt (p : Sor_core.params) pts =
-  if pts > 0 then Sim.Fiber.consume (p.Sor_core.point_cpu *. float_of_int pts)
-
-(* --- master convergence object ------------------------------------------ *)
-
-type master_cell = {
-  mutable out : float;
-  mutable cell_wake : (unit -> unit) option;
-  mutable fired : bool;
-}
-
-type master = {
-  parties : int;
-  mutable arrived : int;
-  mutable agg : float;
-  mutable waiting : master_cell list;
-  mutable rounds : int;
-  mutable t_ready : float;
-  mutable t_last : float;
-}
-
-(* Barrier-with-value body, shared by the synchronous setup round and
-   the asynchronous per-iteration rounds. *)
-let report_op clock delta m =
-  if delta > m.agg then m.agg <- delta;
-  if m.arrived + 1 >= m.parties then begin
-    let value = m.agg in
-    m.arrived <- 0;
-    m.agg <- 0.0;
-    m.rounds <- m.rounds + 1;
-    let t = clock () in
-    if m.rounds = 1 then m.t_ready <- t;
-    m.t_last <- t;
-    let cells = m.waiting in
-    m.waiting <- [];
-    List.iter
-      (fun c ->
-        c.out <- value;
-        c.fired <- true;
-        match c.cell_wake with Some wake -> wake () | None -> ())
-      cells;
-    value
-  end
-  else begin
-    m.arrived <- m.arrived + 1;
-    let c = { out = 0.0; cell_wake = None; fired = false } in
-    m.waiting <- c :: m.waiting;
-    Sim.Fiber.block (fun wake ->
-        if c.fired then wake () else c.cell_wake <- Some wake);
-    c.out
-  end
-
-let report rt master_obj clock delta =
-  A.Invoke.invoke rt master_obj (report_op clock delta)
-
 let report_async rt master_obj clock delta =
   A.Future.invoke_async rt master_obj (report_op clock delta)
-
-(* --- worker body (identical numerics to Sor_amber's) --------------------- *)
-
-let compute_border_rows s (p : Sor_core.params) color ~lc ~r_from ~r_to =
-  let pts = ref 0 and delta = ref 0.0 in
-  let gc = s.col0 + lc - 1 in
-  for r = r_from to r_to do
-    match (Sor_core.color_of ~r ~c:gc, color) with
-    | Sor_core.Red, Sor_core.Red | Sor_core.Black, Sor_core.Black ->
-      let i = (r * s.stride) + lc in
-      let old = s.cells.(i) in
-      let avg =
-        (s.cells.(i - 1) +. s.cells.(i + 1) +. s.cells.(i - s.stride)
-        +. s.cells.(i + s.stride))
-        /. 4.0
-      in
-      let next = old +. (p.Sor_core.omega *. (avg -. old)) in
-      s.cells.(i) <- next;
-      incr pts;
-      let d = Float.abs (next -. old) in
-      if d > !delta then delta := d
-    | Sor_core.Red, Sor_core.Black | Sor_core.Black, Sor_core.Red -> ()
-  done;
-  (!pts, !delta)
-
-let worker_body rt p (cfg : Sor_amber.cfg) sec_obj ~w () =
-  A.Invoke.invoke rt sec_obj (fun s ->
-      let nworkers = cfg.Sor_amber.workers_per_section in
-      let rec loop next =
-        wait_for rt s (fun () -> s.stop || s.comp_phase >= next);
-        if not s.stop then begin
-          let color = phase_color next in
-          let r_from = 1 + (w * s.rows / nworkers) in
-          let r_to = (w + 1) * s.rows / nworkers in
-          if r_to >= r_from then begin
-            let border_cols = if s.ncols = 1 then [ 1 ] else [ 1; s.ncols ] in
-            List.iter
-              (fun lc ->
-                let pts, d =
-                  compute_border_rows s p color ~lc ~r_from ~r_to
-                in
-                charge_points rt p pts;
-                if d > s.delta then s.delta <- d)
-              border_cols
-          end;
-          s.border_done <- s.border_done + 1;
-          notify rt s;
-          wait_for rt s (fun () -> s.stop || s.interior_release >= next);
-          if not s.stop then begin
-            let lo = 2 and hi = s.ncols - 1 in
-            let width = hi - lo + 1 in
-            if width > 0 then begin
-              let c_from = lo + (w * width / nworkers) in
-              let c_to = lo + (((w + 1) * width / nworkers) - 1) in
-              if c_to >= c_from then begin
-                let pts, d = compute_range s p color ~c_from ~c_to in
-                charge_points rt p pts;
-                if d > s.delta then s.delta <- d
-              end
-            end;
-            s.workers_done <- s.workers_done + 1;
-            notify rt s;
-            loop (next + 1)
-          end
-        end
-      in
-      loop 1)
 
 (* --- coordinator: async edge pushes and pipelined barrier ---------------- *)
 
 let coordinator_op rt p (cfg : Sor_amber.cfg) master_obj clock sec_objs
-    ~iters i =
+    ~iters i s =
   let nsections = Array.length sec_objs in
   let has_left = i > 0 and has_right = i < nsections - 1 in
   let nworkers = cfg.Sor_amber.workers_per_section in
-  fun s ->
-      let workers =
-        List.init nworkers (fun w ->
-            A.Athread.start rt
-              ~name:(Printf.sprintf "sorp%d-w%d" i w)
-              (worker_body rt p cfg sec_objs.(i) ~w))
-      in
-      (* Setup barrier stays synchronous: timing starts when every
-         section is ready. *)
-      ignore (report rt master_obj clock 0.0 : float);
-      (* Per-side depth-1 pipeline state. *)
-      let prev_left : unit A.Future.t option ref = ref None in
-      let prev_right : unit A.Future.t option ref = ref None in
-      let prev_report : float A.Future.t option ref = ref None in
-      let push_edge side phase =
-        (* Serialize same-side installs: only after the previous push
-           landed may a newer one overwrite the neighbor's ghost slots,
-           keeping the recv_* max-gating truthful. *)
-        let prev = match side with `Left -> prev_left | `Right -> prev_right in
-        (match !prev with Some f -> A.Future.await rt f | None -> ());
-        let color = phase_color phase in
-        let local_col = match side with `Left -> 1 | `Right -> s.ncols in
-        let neighbor_obj =
-          match side with
-          | `Left -> sec_objs.(i - 1)
-          | `Right -> sec_objs.(i + 1)
-        in
-        (* Capture the edge while co-resident — the closure carries the
-           values, so the next phase may overwrite the border freely. *)
-        let gc = s.col0 + local_col - 1 in
-        let vals = ref [] in
-        for r = s.rows downto 1 do
-          match (Sor_core.color_of ~r ~c:gc, color) with
-          | Sor_core.Red, Sor_core.Red | Sor_core.Black, Sor_core.Black ->
-            vals := (r, s.cells.((r * s.stride) + local_col)) :: !vals
-          | Sor_core.Red, Sor_core.Black | Sor_core.Black, Sor_core.Red -> ()
-        done;
-        let vals = !vals in
-        let payload = 8 * List.length vals in
-        prev :=
-          Some
-            (A.Future.invoke_async rt ~payload neighbor_obj (fun ns ->
-                 let ghost_col =
-                   match side with `Left -> ns.ncols + 1 | `Right -> 0
-                 in
-                 List.iter
-                   (fun (r, v) -> ns.cells.((r * ns.stride) + ghost_col) <- v)
-                   vals;
-                 (match side with
-                 | `Left -> ns.recv_right <- max ns.recv_right phase
-                 | `Right -> ns.recv_left <- max ns.recv_left phase);
-                 let ws = ns.waiters in
-                 ns.waiters <- [];
-                 List.iter (fun wake -> wake ()) ws))
-      in
-      let do_phase phase =
-        wait_for rt s (fun () ->
-            ((not has_left) || s.recv_left >= phase - 1)
-            && ((not has_right) || s.recv_right >= phase - 1));
-        s.comp_phase <- phase;
-        notify rt s;
-        wait_for rt s (fun () -> s.border_done >= nworkers * phase);
-        (* Edges complete: ship them without blocking the interior. *)
-        if has_left then push_edge `Left phase;
-        if has_right then push_edge `Right phase;
-        if not cfg.Sor_amber.overlap then begin
-          (* Degenerate (diagnostic) mode: drain the exchange before the
-             interior, like Sor_amber with overlap off. *)
-          (match !prev_left with
-          | Some f -> A.Future.await rt f
-          | None -> ());
-          match !prev_right with
-          | Some f -> A.Future.await rt f
-          | None -> ()
-        end;
-        s.interior_release <- phase;
-        notify rt s;
-        wait_for rt s (fun () -> s.workers_done >= nworkers * phase)
-      in
-      for it = 1 to iters do
-        do_phase (((it - 1) * 2) + 1);
-        do_phase (((it - 1) * 2) + 2);
-        let delta = s.delta in
-        s.delta <- 0.0;
-        (* Pipelined convergence barrier: overlap round [it] against the
-           next iteration's compute, awaiting it only before joining
-           round [it + 1] — so rounds never interleave at the master. *)
-        (match !prev_report with
-        | Some f -> ignore (A.Future.await rt f : float)
-        | None -> ());
-        prev_report := Some (report_async rt master_obj clock delta)
-      done;
-      (* Drain the pipeline before tearing the section down. *)
-      (match !prev_left with Some f -> A.Future.await rt f | None -> ());
-      (match !prev_right with Some f -> A.Future.await rt f | None -> ());
-      (match !prev_report with
-      | Some f -> ignore (A.Future.await rt f : float)
-      | None -> ());
-      s.stop <- true;
-      notify rt s;
-      ignore (A.Athread.join_all rt workers : unit list);
-      iters
+  let workers = start_workers rt p ~prefix:"sorp" ~nworkers sec_objs i in
+  (* Setup barrier stays synchronous: timing starts when every
+     section is ready. *)
+  ignore (report rt master_obj clock 0.0 : float);
+  (* Per-side depth-1 pipeline state. *)
+  let prev_left : unit A.Future.t option ref = ref None in
+  let prev_right : unit A.Future.t option ref = ref None in
+  let prev_report : float A.Future.t option ref = ref None in
+  let push_edge side phase =
+    (* Serialize same-side installs: only after the previous push
+       landed may a newer one overwrite the neighbor's ghost slots,
+       keeping the recv_* max-gating truthful. *)
+    let prev = match side with `Left -> prev_left | `Right -> prev_right in
+    Option.iter (A.Future.await rt) !prev;
+    let neighbor_obj =
+      match side with
+      | `Left -> sec_objs.(i - 1)
+      | `Right -> sec_objs.(i + 1)
+    in
+    let payload, install = edge_push s ~side phase in
+    prev := Some (A.Future.invoke_async rt ~payload neighbor_obj install)
+  in
+  let do_phase phase =
+    compute_borders rt s ~nworkers ~has_left ~has_right phase;
+    (* Edges complete: ship them without blocking the interior. *)
+    if has_left then push_edge `Left phase;
+    if has_right then push_edge `Right phase;
+    if not cfg.Sor_amber.overlap then begin
+      (* Degenerate (diagnostic) mode: drain the exchange before the
+         interior, like Sor_amber with overlap off. *)
+      Option.iter (A.Future.await rt) !prev_left;
+      Option.iter (A.Future.await rt) !prev_right
+    end;
+    s.interior_release <- phase;
+    notify rt s;
+    wait_for rt s (fun () -> s.workers_done >= nworkers * phase)
+  in
+  for it = 1 to iters do
+    do_phase (((it - 1) * 2) + 1);
+    do_phase (((it - 1) * 2) + 2);
+    let delta = s.delta in
+    s.delta <- 0.0;
+    (* Pipelined convergence barrier: overlap round [it] against the
+       next iteration's compute, awaiting it only before joining
+       round [it + 1] — so rounds never interleave at the master. *)
+    Option.iter (fun f -> ignore (A.Future.await rt f)) !prev_report;
+    prev_report := Some (report_async rt master_obj clock delta)
+  done;
+  (* Drain the pipeline before tearing the section down. *)
+  Option.iter (A.Future.await rt) !prev_left;
+  Option.iter (A.Future.await rt) !prev_right;
+  Option.iter (fun f -> ignore (A.Future.await rt f)) !prev_report;
+  s.stop <- true;
+  notify rt s;
+  ignore (A.Athread.join_all rt workers : unit list);
+  iters
 
 (* --- top level ----------------------------------------------------------- *)
-
-let make_section (p : Sor_core.params) ~idx ~ncols ~col0 ~is_first ~is_last =
-  let stride = ncols + 2 in
-  let cells = Array.make ((p.Sor_core.rows + 2) * stride) 0.0 in
-  for c = 0 to ncols + 1 do
-    cells.(c) <- p.Sor_core.top;
-    cells.(((p.Sor_core.rows + 1) * stride) + c) <- p.Sor_core.bottom
-  done;
-  if is_first then
-    for r = 1 to p.Sor_core.rows do
-      cells.(r * stride) <- p.Sor_core.left
-    done;
-  if is_last then
-    for r = 1 to p.Sor_core.rows do
-      cells.((r * stride) + ncols + 1) <- p.Sor_core.right
-    done;
-  {
-    idx;
-    rows = p.Sor_core.rows;
-    ncols;
-    col0;
-    stride;
-    cells;
-    comp_phase = 0;
-    interior_release = 0;
-    border_done = 0;
-    workers_done = 0;
-    recv_left = 0;
-    recv_right = 0;
-    delta = 0.0;
-    stop = false;
-    waiters = [];
-  }
 
 let run rt (p : Sor_core.params) ?cfg ~iters () =
   if iters <= 0 then invalid_arg "Sor_pipe: iterations";
   let cfg = match cfg with Some c -> c | None -> Sor_amber.default_cfg rt in
-  if cfg.Sor_amber.sections <= 0 || cfg.Sor_amber.sections > p.Sor_core.cols
-  then invalid_arg "Sor_pipe.run: bad section count";
   let ctrs = A.Runtime.counters rt in
   let remote0 = ctrs.A.Runtime.remote_invocations in
   let migr0 = ctrs.A.Runtime.thread_migrations in
   let async0 = ctrs.A.Runtime.async_invocations in
   let t0 = A.Runtime.now rt in
   let clock () = A.Runtime.now rt in
-  let master_state =
-    {
-      parties = cfg.Sor_amber.sections;
-      arrived = 0;
-      agg = 0.0;
-      waiting = [];
-      rounds = 0;
-      t_ready = 0.0;
-      t_last = 0.0;
-    }
-  in
-  let master_obj =
-    A.Runtime.create_object rt ~size:128 ~name:"sorp-master" master_state
-  in
   let nsections = cfg.Sor_amber.sections in
-  let base = p.Sor_core.cols / nsections in
-  let rem = p.Sor_core.cols mod nsections in
-  let widths =
-    Array.init nsections (fun i -> base + (if i < rem then 1 else 0))
+  let master_state, master_obj, sec_objs =
+    create rt p ~prefix:"sorp" ~sections:nsections
   in
-  let sec_objs =
-    Array.init nsections (fun i ->
-        let col0 = 1 + Array.fold_left ( + ) 0 (Array.sub widths 0 i) in
-        let state =
-          make_section p ~idx:i ~ncols:widths.(i) ~col0 ~is_first:(i = 0)
-            ~is_last:(i = nsections - 1)
-        in
-        let size = 8 * Array.length state.cells in
-        A.Runtime.create_object rt ~size
-          ~name:(Printf.sprintf "sorp-section%d" i)
-          state)
-  in
-  let nodes = A.Runtime.nodes rt in
-  let place =
-    match cfg.Sor_amber.placement with
-    | Some f -> f
-    | None -> fun i -> i * nodes / nsections
-  in
+  let dests = destinations rt ~sections:nsections cfg.Sor_amber.placement in
   (* Overlapped distribution: Sor_amber ships the sections one blocking
      move at a time, serializing the whole-object transfers (and their
      locate round trips) on the main thread.  Here each move runs on its
@@ -411,14 +115,11 @@ let run rt (p : Sor_core.params) ?cfg ~iters () =
   let movers =
     Array.to_list sec_objs
     |> List.mapi (fun i obj ->
-           let dest = place i in
-           if dest < 0 || dest >= nodes then
-             invalid_arg "Sor_pipe.run: placement outside the cluster";
-           if dest <> 0 then
+           if dests.(i) <> 0 then
              Some
                (A.Athread.start rt
                   ~name:(Printf.sprintf "sorp%d-mover" i)
-                  (fun () -> A.Mobility.move_to rt obj ~dest))
+                  (fun () -> A.Mobility.move_to rt obj ~dest:dests.(i)))
            else None)
     |> List.filter_map Fun.id
   in
@@ -440,19 +141,9 @@ let run rt (p : Sor_core.params) ?cfg ~iters () =
     (fun n ->
       if n <> iters then failwith "Sor_pipe: coordinator iteration mismatch")
     iteration_counts;
-  let checksum = ref 0.0 in
-  for r = 1 to p.Sor_core.rows do
-    Array.iter
-      (fun obj ->
-        let s = obj.A.Aobject.state in
-        for lc = 1 to s.ncols do
-          checksum := !checksum +. s.cells.((r * s.stride) + lc)
-        done)
-      sec_objs
-  done;
   {
     iterations = iters;
-    checksum = !checksum;
+    checksum = checksum p sec_objs;
     compute_elapsed = master_state.t_last -. master_state.t_ready;
     total_elapsed = A.Runtime.now rt -. t0;
     remote_invocations = ctrs.A.Runtime.remote_invocations - remote0;

@@ -416,22 +416,38 @@ let test_join_all_collects_and_types () =
 
 (* --- pipelined SOR: bit-identical numerics ---------------------------------- *)
 
+(* Every shape in {2x2, 3x4, 4x4}, with the edge exchange overlapped and
+   drained, against the synchronous program on the same shape. *)
 let test_sor_pipe_matches_sync () =
   let p =
     Workloads.Sor_core.with_size Workloads.Sor_core.default ~rows:16 ~cols:64
   in
-  let sync = Util.run ~nodes:4 ~cpus:2 (fun rt ->
-      Workloads.Sor_amber.run rt p ~iters:4 ())
-  in
-  let pipe = Util.run ~nodes:4 ~cpus:2 (fun rt ->
-      Workloads.Sor_pipe.run rt p ~iters:4 ())
-  in
-  Util.check_float "checksum bit-identical"
-    sync.Workloads.Sor_amber.checksum pipe.Workloads.Sor_pipe.checksum;
-  Alcotest.(check int) "same iteration count" 4
-    pipe.Workloads.Sor_pipe.iterations;
-  Alcotest.(check bool) "futures actually used" true
-    (pipe.Workloads.Sor_pipe.async_invocations > 0)
+  List.iter
+    (fun ((nodes, cpus), overlap) ->
+      let case = Printf.sprintf "%dNx%dP overlap=%b" nodes cpus overlap in
+      let cfg rt =
+        {
+          (Workloads.Sor_amber.default_cfg rt) with
+          Workloads.Sor_amber.overlap;
+        }
+      in
+      let sync =
+        Util.run ~nodes ~cpus (fun rt ->
+            Workloads.Sor_amber.run rt p ~cfg:(cfg rt) ~iters:4 ())
+      in
+      let pipe =
+        Util.run ~nodes ~cpus (fun rt ->
+            Workloads.Sor_pipe.run rt p ~cfg:(cfg rt) ~iters:4 ())
+      in
+      Alcotest.(check (float 0.0)) (case ^ ": checksum bit-identical")
+        sync.Workloads.Sor_amber.checksum pipe.Workloads.Sor_pipe.checksum;
+      Alcotest.(check int) (case ^ ": iteration count") 4
+        pipe.Workloads.Sor_pipe.iterations;
+      Alcotest.(check bool) (case ^ ": futures actually used") true
+        (pipe.Workloads.Sor_pipe.async_invocations > 0))
+    (List.concat_map
+       (fun shape -> [ (shape, true); (shape, false) ])
+       [ (2, 2); (3, 4); (4, 4) ])
 
 let test_sor_pipe_faulted_checksum_stable () =
   let p =

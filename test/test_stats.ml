@@ -100,26 +100,6 @@ let test_reservoir_bad_arg () =
   Alcotest.check_raises "reservoir" (Invalid_argument "Summary.create: reservoir")
     (fun () -> ignore (Sim.Stats.Summary.create ~reservoir:0 ()))
 
-let test_histogram_buckets () =
-  let h = Sim.Stats.Histogram.create ~lo:0.0 ~hi:10.0 ~buckets:5 in
-  List.iter (Sim.Stats.Histogram.add h) [ 0.5; 1.0; 3.0; 9.9; -1.0; 10.0 ];
-  Alcotest.(check int) "count" 6 (Sim.Stats.Histogram.count h);
-  Alcotest.(check int) "under" 1 (Sim.Stats.Histogram.underflow h);
-  Alcotest.(check int) "over" 1 (Sim.Stats.Histogram.overflow h);
-  Alcotest.(check (array int)) "buckets" [| 2; 1; 0; 0; 1 |]
-    (Sim.Stats.Histogram.bucket_counts h)
-
-let test_histogram_bounds () =
-  let h = Sim.Stats.Histogram.create ~lo:0.0 ~hi:10.0 ~buckets:5 in
-  let lo, hi = Sim.Stats.Histogram.bucket_bounds h 2 in
-  feq "lo" 4.0 lo;
-  feq "hi" 6.0 hi
-
-let test_histogram_bad_args () =
-  Alcotest.check_raises "buckets" (Invalid_argument "Histogram.create: buckets")
-    (fun () ->
-      ignore (Sim.Stats.Histogram.create ~lo:0.0 ~hi:1.0 ~buckets:0))
-
 (* --- log-bucketed histogram ---------------------------------------------- *)
 
 module L = Sim.Stats.Log_histogram
@@ -219,9 +199,6 @@ let suite =
     Alcotest.test_case "reservoir deterministic" `Quick
       test_reservoir_deterministic;
     Alcotest.test_case "reservoir bad arg" `Quick test_reservoir_bad_arg;
-    Alcotest.test_case "histogram buckets" `Quick test_histogram_buckets;
-    Alcotest.test_case "histogram bucket bounds" `Quick test_histogram_bounds;
-    Alcotest.test_case "histogram bad args" `Quick test_histogram_bad_args;
     Alcotest.test_case "log histogram basics" `Quick test_log_histogram_basics;
     Alcotest.test_case "log histogram bucket boundaries" `Quick
       test_log_bucket_boundaries;

@@ -19,6 +19,23 @@ let test_lazy_detail_not_forced_when_disabled () =
     ();
   Alcotest.(check bool) "not forced" false !forced
 
+(* A ring that is never enabled allocates no buffer; one that is only
+   cleared or read stays empty. *)
+let test_unused_ring_not_allocated () =
+  let before = Gc.allocated_bytes () in
+  let t = Sim.Trace.create ~capacity:1_000_000 () in
+  Sim.Trace.clear t;
+  let records = Sim.Trace.records t in
+  let allocated = Gc.allocated_bytes () -. before in
+  Alcotest.(check int) "no records" 0 (List.length records);
+  Alcotest.(check bool)
+    (Printf.sprintf "under 1 MiB allocated (%.0f bytes)" allocated)
+    true
+    (allocated < 1048576.0);
+  Sim.Trace.set_enabled t true;
+  emit t 1.0 "x" "first";
+  Alcotest.(check int) "records once enabled" 1 (Sim.Trace.length t)
+
 let test_records_in_order () =
   let t = Sim.Trace.create () in
   Sim.Trace.set_enabled t true;
@@ -118,6 +135,8 @@ let suite =
     Alcotest.test_case "disabled by default" `Quick test_disabled_by_default;
     Alcotest.test_case "lazy detail not forced when disabled" `Quick
       test_lazy_detail_not_forced_when_disabled;
+    Alcotest.test_case "unused ring not allocated" `Quick
+      test_unused_ring_not_allocated;
     Alcotest.test_case "records kept in order" `Quick test_records_in_order;
     Alcotest.test_case "ring buffer wraps" `Quick test_ring_wraps;
     Alcotest.test_case "filter by category" `Quick test_by_category;
