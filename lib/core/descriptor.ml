@@ -6,8 +6,12 @@ type table = {
   mutable uninit_reads : int;
 }
 
+(* Tables start small and grow with use: every node boots one, so a
+   256-bucket start was a large share of what booting a cluster
+   allocated.  The table is never iterated, so its size changes nothing
+   but memory. *)
 let create_table ~node =
-  { node_id = node; entries = Hashtbl.create 256; uninit_reads = 0 }
+  { node_id = node; entries = Hashtbl.create 16; uninit_reads = 0 }
 
 let node t = t.node_id
 

@@ -43,6 +43,9 @@ let validate_faults f =
         invalid_arg "Ethernet faults: stall window must be ordered")
     f.stalls
 
+(* Packets and bytes sent of one kind, updated in place per packet. *)
+type kind_stat = { mutable n : int; mutable kbytes : int }
+
 (* A packet deferring for the medium under CSMA/CD. *)
 type pending = {
   pkt : Packet.t;
@@ -87,8 +90,69 @@ type t = {
      both packets sent to a dead node and packets already in flight when
      the node died.  Empty in every run without crash injection. *)
   downs : (int, unit) Hashtbl.t;
-  by_kind : (string, int * int) Hashtbl.t;
+  by_kind : (string, kind_stat) Hashtbl.t;
+  (* In-order delivery lane (see [schedule_delivery]): a ring buffer of
+     reserved delivery events in send order, of which only the head is in
+     the engine's heap. *)
+  mutable lane : Sim.Engine.event_id array;
+  mutable lane_head : int;
+  mutable lane_len : int;
+  (* Delivery time of the last event appended to the lane. *)
+  mutable lane_tail : float;
+  (* Bumped when the lane is flushed into the heap, which turns the
+     flushed events' lane hand-off into a no-op. *)
+  mutable lane_gen : int;
 }
+
+(* --- In-order delivery lane ---------------------------------------------
+
+   One medium carries packets one after another, so deliveries are usually
+   created in send order at non-decreasing times.  Such a delivery joins
+   the lane: its event is made with [Engine.reserve], which fixes its
+   place among equal-time events when it is created, and only the lane's
+   head sits in the engine's heap.  When the head fires it hands the next
+   event to the heap.  The lane is sorted by (time, seq), so its head is
+   its earliest event, and events run in exactly the order they would if
+   each were queued when created; the heap just stays shallow when the
+   medium is backlogged.  Deliveries that would break the order (latency
+   spikes, stalls, duplicates) and every delivery under a chooser are
+   scheduled directly. *)
+
+(* Capacities are powers of two, so a ring index wraps with a mask. *)
+let lane_slot t i = (t.lane_head + i) land (Array.length t.lane - 1)
+
+let lane_push t ev =
+  if t.lane_len = Array.length t.lane then begin
+    let bigger =
+      Array.make (max 64 (2 * t.lane_len)) Sim.Engine.no_event
+    in
+    for i = 0 to t.lane_len - 1 do
+      bigger.(i) <- t.lane.(lane_slot t i)
+    done;
+    t.lane <- bigger;
+    t.lane_head <- 0
+  end;
+  t.lane.(lane_slot t t.lane_len) <- ev;
+  t.lane_len <- t.lane_len + 1
+
+(* The head is firing: hand the next delivery to the heap. *)
+let lane_advance t =
+  t.lane.(t.lane_head) <- Sim.Engine.no_event;
+  t.lane_head <- lane_slot t 1;
+  t.lane_len <- t.lane_len - 1;
+  if t.lane_len > 0 then Sim.Engine.schedule_reserved t.eng t.lane.(t.lane_head)
+
+(* Hand every held delivery to the heap, so that a chooser being
+   installed sees them all, and empty the lane.  The head is in the heap
+   already. *)
+let flush_lane t =
+  for i = 1 to t.lane_len - 1 do
+    Sim.Engine.schedule_reserved t.eng t.lane.(lane_slot t i)
+  done;
+  Array.fill t.lane 0 (Array.length t.lane) Sim.Engine.no_event;
+  t.lane_head <- 0;
+  t.lane_len <- 0;
+  t.lane_gen <- t.lane_gen + 1
 
 let slot_time = 51.2e-6
 let jam_time = 4.8e-6
@@ -100,33 +164,42 @@ let create ~engine ?(bandwidth_bps = 10e6) ?(propagation = 20e-6)
   if bandwidth_bps <= 0.0 then invalid_arg "Ethernet.create: bandwidth";
   validate_faults faults;
   let rng = Sim.Rng.split (Sim.Engine.rng engine) in
-  {
-    eng = engine;
-    bandwidth_bps;
-    propagation;
-    wire_overhead;
-    header_bytes;
-    mac;
-    rng;
-    faults;
-    frng = (if faults_enabled faults then Some (Sim.Rng.split rng) else None);
-    trace;
-    free_at = 0.0;
-    waiting = [];
-    next_round = Float.infinity;
-    packets = 0;
-    bytes = 0;
-    queueing = 0.0;
-    busy = 0.0;
-    collision_count = 0;
-    dropped = 0;
-    duplicated = 0;
-    delayed = 0;
-    stalled = 0;
-    dropped_dead = 0;
-    downs = Hashtbl.create 4;
-    by_kind = Hashtbl.create 16;
-  }
+  let t =
+    {
+      eng = engine;
+      bandwidth_bps;
+      propagation;
+      wire_overhead;
+      header_bytes;
+      mac;
+      rng;
+      faults;
+      frng = (if faults_enabled faults then Some (Sim.Rng.split rng) else None);
+      trace;
+      free_at = 0.0;
+      waiting = [];
+      next_round = Float.infinity;
+      packets = 0;
+      bytes = 0;
+      queueing = 0.0;
+      busy = 0.0;
+      collision_count = 0;
+      dropped = 0;
+      duplicated = 0;
+      delayed = 0;
+      stalled = 0;
+      dropped_dead = 0;
+      downs = Hashtbl.create 4;
+      by_kind = Hashtbl.create 16;
+      lane = [||];
+      lane_head = 0;
+      lane_len = 0;
+      lane_tail = Float.neg_infinity;
+      lane_gen = 0;
+    }
+  in
+  Sim.Engine.on_set_chooser engine (fun () -> flush_lane t);
+  t
 
 let engine t = t.eng
 let propagation t = t.propagation
@@ -140,35 +213,37 @@ let busy_until t = t.free_at
 let account t (p : Packet.t) ~waited ~tx =
   t.packets <- t.packets + 1;
   t.bytes <- t.bytes + p.Packet.size;
-  (let n, b =
-     Option.value ~default:(0, 0) (Hashtbl.find_opt t.by_kind p.Packet.kind)
-   in
-   Hashtbl.replace t.by_kind p.Packet.kind (n + 1, b + p.Packet.size));
+  (match Hashtbl.find t.by_kind p.Packet.kind with
+  | k ->
+    k.n <- k.n + 1;
+    k.kbytes <- k.kbytes + p.Packet.size
+  | exception Not_found ->
+    Hashtbl.add t.by_kind p.Packet.kind { n = 1; kbytes = p.Packet.size });
   t.queueing <- t.queueing +. waited;
   t.busy <- t.busy +. tx
 
-(* Schedule the receiver-side delivery event.  Under a chooser the event
-   carries a conflict key (all deliveries into one node touch that node's
-   protocol state) and a readable label; in normal operation neither
-   string is built. *)
 let set_node_down t node = Hashtbl.replace t.downs node ()
 let set_node_up t node = Hashtbl.remove t.downs node
 let node_is_down t node = Hashtbl.mem t.downs node
 
+(* The down check runs at the delivery instant, not at send time: a
+   packet in flight when its destination dies is lost too. *)
+let deliver t (p : Packet.t) =
+  if Hashtbl.mem t.downs p.Packet.dst then begin
+    t.dropped_dead <- t.dropped_dead + 1;
+    Sim.Trace.emit t.trace ~time:(Sim.Engine.now t.eng) ~category:"crash"
+      ~detail:
+        (lazy (Format.asprintf "dead-drop %a (node%d down)" Packet.pp p
+                 p.Packet.dst))
+      ()
+  end
+  else p.Packet.deliver ()
+
+(* Schedule the receiver-side delivery event.  Under a chooser the event
+   carries a conflict key (all deliveries into one node touch that node's
+   protocol state) and a readable label; in normal operation neither
+   string is built, and an in-order delivery joins the lane. *)
 let schedule_delivery t (p : Packet.t) ~time =
-  (* The down check runs at the delivery instant, not at send time: a
-     packet in flight when its destination dies is lost too. *)
-  let deliver () =
-    if Hashtbl.mem t.downs p.Packet.dst then begin
-      t.dropped_dead <- t.dropped_dead + 1;
-      Sim.Trace.emit t.trace ~time:(Sim.Engine.now t.eng) ~category:"crash"
-        ~detail:
-          (lazy (Format.asprintf "dead-drop %a (node%d down)" Packet.pp p
-                   p.Packet.dst))
-        ()
-    end
-    else p.Packet.deliver ()
-  in
   if Sim.Engine.chooser_active t.eng then
     ignore
       (Sim.Engine.schedule_at t.eng
@@ -176,10 +251,23 @@ let schedule_delivery t (p : Packet.t) ~time =
          ~label:
            (Printf.sprintf "deliver %s %d>%d seq%d" p.Packet.kind p.Packet.src
               p.Packet.dst p.Packet.seq)
-         ~time deliver
+         ~time (fun () -> deliver t p)
         : Sim.Engine.event_id)
+  else if time >= t.lane_tail then begin
+    let gen = t.lane_gen in
+    let ev =
+      Sim.Engine.reserve t.eng ~time (fun () ->
+          if gen = t.lane_gen then lane_advance t;
+          deliver t p)
+    in
+    lane_push t ev;
+    t.lane_tail <- time;
+    if t.lane_len = 1 then Sim.Engine.schedule_reserved t.eng ev
+  end
   else
-    ignore (Sim.Engine.schedule_at t.eng ~time deliver : Sim.Engine.event_id)
+    ignore
+      (Sim.Engine.schedule_at t.eng ~time (fun () -> deliver t p)
+        : Sim.Engine.event_id)
 
 (* Fault injection happens between the wire and the receiver: the packet
    always pays its transmission time (it really crossed the medium), and
@@ -367,7 +455,7 @@ let packets_stalled t = t.stalled
 let packets_dropped_dead t = t.dropped_dead
 
 let traffic_by_kind t =
-  Hashtbl.fold (fun kind (n, b) acc -> (kind, n, b) :: acc) t.by_kind []
+  Hashtbl.fold (fun kind k acc -> (kind, k.n, k.kbytes) :: acc) t.by_kind []
   |> List.sort compare
 
 let reset_stats t =

@@ -297,14 +297,13 @@ and start_chunk m cpu tcb ~remaining =
   let busy =
     {
       btcb = tcb;
-      chunk_event = Sim.Engine.schedule m.eng ~delay:chunk (fun () -> ());
+      chunk_event = Sim.Engine.no_event;
       chunk_started = Sim.Engine.now m.eng;
       chunk;
       remaining = remaining -. chunk;
     }
   in
-  (* Replace the placeholder event with one that can see [busy]. *)
-  Sim.Engine.cancel m.eng busy.chunk_event;
+  (* The chunk's event needs [busy], so it is set once [busy] exists. *)
   let thunk () = chunk_done m cpu busy in
   busy.chunk_event <-
     (if Sim.Engine.chooser_active m.eng then

@@ -1,5 +1,7 @@
 type event = {
   id : int;
+      (* the event's queue seq, drawn when the event is created: unique,
+         and in creation order *)
   time : float;
       (* nominal timestamp.  Under a chooser an event may fire "late"
          (after the clock has been advanced past it by another branch of
@@ -7,47 +9,55 @@ type event = {
   key : string;
   label : string;
   mutable live : bool;
+      (* cleared when the event fires or is cancelled; a dead heap entry
+         is skipped when it reaches the top *)
   thunk : unit -> unit;
 }
 
-type event_id = int
+type event_id = event
+
+let no_event =
+  { id = -1; time = Float.infinity; key = ""; label = ""; live = false;
+    thunk = ignore }
 
 type t = {
   queue : event Event_queue.t;
   mutable clock : float;
-  mutable next_id : int;
   mutable executed : int;
-  (* Pending (not yet fired, not cancelled) events by id.  Entries are
-     removed when an event fires or is cancelled. *)
-  live_ids : (int, event) Hashtbl.t;
   root_rng : Rng.t;
   (* Controlled nondeterminism (see {!Choice}): [None] in normal
      operation — every decision point takes its single normal answer and
      this field costs one dead branch per step. *)
   mutable chooser : Choice.t option;
+  (* Hooks run as a chooser is installed (see [on_set_chooser]). *)
+  mutable on_chooser : (unit -> unit) list;
 }
 
 let create ?(seed = 0x5EEDL) () =
   {
     queue = Event_queue.create ();
     clock = 0.0;
-    next_id = 0;
     executed = 0;
-    live_ids = Hashtbl.create 256;
     root_rng = Rng.make seed;
     chooser = None;
+    on_chooser = [];
   }
 
 let now t = t.clock
 let rng t = t.root_rng
-let set_chooser t c = t.chooser <- c
+
+let set_chooser t c =
+  if c <> None then List.iter (fun f -> f ()) t.on_chooser;
+  t.chooser <- c
+
+let on_set_chooser t f = t.on_chooser <- f :: t.on_chooser
 let chooser t = t.chooser
 let chooser_active t = t.chooser <> None
 
 let note_access t k =
   match t.chooser with None -> () | Some c -> c.Choice.note_access k
 
-let schedule_at t ?(key = "") ?(label = "") ~time thunk =
+let reserve t ?(key = "") ?(label = "") ~time thunk =
   if Float.is_nan time then invalid_arg "Engine.schedule_at: NaN time";
   let time =
     if time >= t.clock then time
@@ -60,51 +70,56 @@ let schedule_at t ?(key = "") ?(label = "") ~time thunk =
         (Printf.sprintf "Engine.schedule_at: time %g is before now %g" time
            t.clock)
   in
-  let id = t.next_id in
-  t.next_id <- id + 1;
-  let ev = { id; time; key; label; live = true; thunk } in
-  Hashtbl.replace t.live_ids id ev;
-  Event_queue.add t.queue ~time ev;
-  id
+  { id = Event_queue.reserve t.queue; time; key; label; live = true; thunk }
+
+let schedule_reserved t ev =
+  if ev.time < t.clock then
+    invalid_arg "Engine.schedule_reserved: event time is before now";
+  Event_queue.add_reserved t.queue ~time:ev.time ~seq:ev.id ev
+
+let schedule_at t ?key ?label ~time thunk =
+  let ev = reserve t ?key ?label ~time thunk in
+  schedule_reserved t ev;
+  ev
 
 let schedule t ?key ?label ~delay thunk =
   if Float.is_nan delay || delay < 0.0 then
     invalid_arg "Engine.schedule: negative or NaN delay";
   schedule_at t ?key ?label ~time:(t.clock +. delay) thunk
 
-let cancel t id =
-  match Hashtbl.find_opt t.live_ids id with
-  | None -> ()
-  | Some ev ->
-    ev.live <- false;
-    Hashtbl.remove t.live_ids id
+let cancel _ ev = ev.live <- false
+let is_pending _ ev = ev.live
 
-let is_pending t id = Hashtbl.mem t.live_ids id
-
-let fire t time ev =
-  if time > t.clock then t.clock <- time;
+let fire t ev =
+  if ev.time > t.clock then t.clock <- ev.time;
   ev.live <- false;
-  Hashtbl.remove t.live_ids ev.id;
   t.executed <- t.executed + 1;
   ev.thunk ()
 
 (* Chooser-driven step: any pending event may fire next, not just the
    earliest — the chooser explores relative orderings of deliveries and
    timers that the timestamps of one particular run would fix.  Fired
-   events are marked dead in place; their heap entries are skipped
-   lazily, exactly like cancelled ones. *)
+   events are marked dead in place and left in the heap, like cancelled
+   ones; once they make up more than half of it, the heap is compacted. *)
 let checked_step (c : Choice.t) t =
+  let live =
+    Event_queue.fold t.queue ~init:[] ~f:(fun acc _ ev ->
+        if ev.live then ev :: acc else acc)
+  in
+  if 2 * List.length live < Event_queue.length t.queue then
+    Event_queue.filter t.queue (fun ev -> ev.live);
   let evs =
-    Hashtbl.fold (fun _ ev acc -> ev :: acc) t.live_ids []
-    |> List.sort (fun a b ->
-           match Float.compare a.time b.time with
-           | 0 -> Int.compare a.id b.id
-           | n -> n)
+    List.sort
+      (fun a b ->
+        match Float.compare a.time b.time with
+        | 0 -> Int.compare a.id b.id
+        | n -> n)
+      live
   in
   match evs with
   | [] -> false
   | [ ev ] ->
-    fire t ev.time ev;
+    fire t ev;
     true
   | evs ->
     let arr = Array.of_list evs in
@@ -120,47 +135,45 @@ let checked_step (c : Choice.t) t =
         arr
     in
     let idx = c.Choice.pick Choice.Event cands in
-    let ev = arr.(idx) in
-    fire t ev.time ev;
+    fire t arr.(idx);
     true
+
+let rec step_earliest t =
+  if Event_queue.is_empty t.queue then false
+  else
+    let ev = Event_queue.take t.queue in
+    if ev.live then begin
+      fire t ev;
+      true
+    end
+    else step_earliest t
 
 let step t =
   match t.chooser with
   | Some c -> checked_step c t
-  | None ->
-    let rec loop () =
-      match Event_queue.pop t.queue with
-      | None -> false
-      | Some (_, ev) when not ev.live -> loop ()
-      | Some (time, ev) ->
-        fire t time ev;
-        true
-    in
-    loop ()
+  | None -> step_earliest t
 
 let run ?until t =
   let start = t.executed in
-  (match t.chooser with
-  | Some _ ->
-    (* Under a chooser virtual timestamps no longer bound execution
-       order, so a time horizon is meaningless: run to quiescence. *)
+  (match (t.chooser, until) with
+  | Some _, _ | None, None ->
+    (* Run to quiescence.  Under a chooser virtual timestamps no longer
+       bound execution order, so a time horizon is meaningless. *)
     while step t do
       ()
     done
-  | None ->
-    let horizon = match until with None -> Float.infinity | Some u -> u in
-    let rec loop () =
-      match Event_queue.peek t.queue with
-      | None -> ()
-      | Some (time, _) when time > horizon -> ()
-      | Some _ ->
-        ignore (step t : bool);
-        loop ()
-    in
-    loop ();
-    (match until with
-    | Some u when u > t.clock && Float.is_finite u -> t.clock <- u
-    | Some _ | None -> ()));
+  | None, Some u ->
+    (* The horizon is checked against the heap's top entry, live or not:
+       a dead top entry lets the next live event run even if it lies past
+       [u]. *)
+    while
+      (not (Event_queue.is_empty t.queue))
+      && Event_queue.min_time t.queue <= u
+      && step t
+    do
+      ()
+    done;
+    if u > t.clock && Float.is_finite u then t.clock <- u);
   t.executed - start
 
 let events_executed t = t.executed

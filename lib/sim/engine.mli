@@ -17,8 +17,14 @@
 
 type t
 
-(** Identifier for a scheduled event, usable for cancellation. *)
+(** Handle on a scheduled event, usable for cancellation.  The handle is
+    the event itself: cancelling clears its live bit, and the heap entry is
+    skipped when it reaches the top. *)
 type event_id
+
+(** A handle that is never pending, for a slot that holds no event yet.
+    Cancelling it is a no-op. *)
+val no_event : event_id
 
 val create : ?seed:int64 -> unit -> t
 
@@ -31,6 +37,12 @@ val rng : t -> Rng.t
 (** Install (or remove) a controlled-nondeterminism chooser.  Normal
     operation never installs one. *)
 val set_chooser : t -> Choice.t option -> unit
+
+(** [on_set_chooser t f] runs [f ()] whenever a chooser is installed,
+    before it takes effect.  A component that holds reserved events outside
+    the heap (see {!reserve}) uses it to hand them all to the heap, so the
+    chooser sees every pending event. *)
+val on_set_chooser : t -> (unit -> unit) -> unit
 
 val chooser : t -> Choice.t option
 val chooser_active : t -> bool
@@ -55,11 +67,26 @@ val schedule :
 val schedule_at :
   t -> ?key:string -> ?label:string -> time:float -> (unit -> unit) -> event_id
 
+(** [reserve t ~time f] creates an event that runs [f ()] at [time] and
+    fixes its place among events at equal times now, but does not queue
+    it: it runs only once {!schedule_reserved} hands it to the queue.
+    [time] is checked as by {!schedule_at}.  A component that knows its
+    events fire in creation order (the Ethernet's delivery lane) keeps all
+    but the next one out of the heap this way, and the order in which
+    events run is the same as if each had been scheduled when created. *)
+val reserve :
+  t -> ?key:string -> ?label:string -> time:float -> (unit -> unit) -> event_id
+
+(** Queue an event made by {!reserve}, under the place it reserved.
+    Raises [Invalid_argument] if its time is already in the past. *)
+val schedule_reserved : t -> event_id -> unit
+
 (** Cancel a pending event.  Cancelling an already-fired or already-cancelled
     event is a no-op. *)
 val cancel : t -> event_id -> unit
 
-(** Has the event fired or been cancelled? *)
+(** [true] until the event fires or is cancelled; never [true] for
+    {!no_event}. *)
 val is_pending : t -> event_id -> bool
 
 (** Run events until the queue is empty, or until [until] (if given) —
@@ -78,6 +105,7 @@ val step : t -> bool
 (** Number of events executed so far. *)
 val events_executed : t -> int
 
-(** Number of events currently queued (including cancelled ones not yet
-    reaped). *)
+(** Number of entries in the event heap, including cancelled ones not yet
+    reaped.  Reserved events not yet handed to the heap (such as Ethernet
+    deliveries waiting in its lane) are not counted. *)
 val pending : t -> int

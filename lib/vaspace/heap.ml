@@ -23,8 +23,10 @@ let create ~node ~grow () =
     bump = 0;
     bump_limit = 0;
     free_pool = Hashtbl.create 32;
-    blocks = Hashtbl.create 256;
-    live = Hashtbl.create 256;
+    (* Start small (one heap per node at boot).  Neither table is
+       iterated in an order that shows. *)
+    blocks = Hashtbl.create 16;
+    live = Hashtbl.create 16;
     reuses = 0;
     grows = 0;
   }

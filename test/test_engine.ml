@@ -99,6 +99,53 @@ let test_executed_counter () =
   ignore (Sim.Engine.run e);
   Alcotest.(check int) "counter" 7 (Sim.Engine.events_executed e)
 
+let test_cancel_after_fire_is_noop () =
+  let e = Sim.Engine.create () in
+  let runs = ref 0 in
+  let id = Sim.Engine.schedule e ~delay:1.0 (fun () -> incr runs) in
+  ignore (Sim.Engine.run e);
+  Sim.Engine.cancel e id;
+  Alcotest.(check bool) "still not pending" false (Sim.Engine.is_pending e id);
+  ignore (Sim.Engine.schedule e ~delay:1.0 (fun () -> incr runs));
+  ignore (Sim.Engine.run e);
+  Alcotest.(check int) "both ran once" 2 !runs;
+  Alcotest.(check int) "executed" 2 (Sim.Engine.events_executed e)
+
+let test_pending_goes_false_on_fire () =
+  let e = Sim.Engine.create () in
+  let seen = ref true in
+  let id = ref Sim.Engine.no_event in
+  id :=
+    Sim.Engine.schedule e ~delay:1.0 (fun () ->
+        seen := Sim.Engine.is_pending e !id);
+  Alcotest.(check bool) "pending before" true (Sim.Engine.is_pending e !id);
+  ignore (Sim.Engine.run e);
+  Alcotest.(check bool) "not pending inside its own thunk" false !seen;
+  Alcotest.(check bool) "not pending after" false (Sim.Engine.is_pending e !id)
+
+let test_no_event () =
+  let e = Sim.Engine.create () in
+  Alcotest.(check bool) "never pending" false
+    (Sim.Engine.is_pending e Sim.Engine.no_event);
+  Sim.Engine.cancel e Sim.Engine.no_event;
+  Alcotest.(check bool) "still never pending" false
+    (Sim.Engine.is_pending e Sim.Engine.no_event);
+  Alcotest.(check bool) "nothing to run" false (Sim.Engine.step e)
+
+let test_reserved_keeps_its_place () =
+  (* Reserved at creation, queued after a later equal-time event: it
+     still runs first, as if it had been queued when created. *)
+  let e = Sim.Engine.create () in
+  let log = ref [] in
+  let first = Sim.Engine.reserve e ~time:1.0 (fun () -> log := "a" :: !log) in
+  ignore (Sim.Engine.schedule_at e ~time:1.0 (fun () -> log := "b" :: !log));
+  Alcotest.(check bool) "reserved is pending" true
+    (Sim.Engine.is_pending e first);
+  Alcotest.(check int) "not in the heap yet" 1 (Sim.Engine.pending e);
+  Sim.Engine.schedule_reserved e first;
+  ignore (Sim.Engine.run e);
+  Alcotest.(check (list string)) "creation order" [ "a"; "b" ] (List.rev !log)
+
 let suite =
   [
     Alcotest.test_case "clock starts at zero" `Quick test_clock_starts_at_zero;
@@ -117,4 +164,11 @@ let suite =
     Alcotest.test_case "event exception propagates" `Quick
       test_exception_propagates;
     Alcotest.test_case "executed counter" `Quick test_executed_counter;
+    Alcotest.test_case "cancel after fire is no-op" `Quick
+      test_cancel_after_fire_is_noop;
+    Alcotest.test_case "is_pending false once fired" `Quick
+      test_pending_goes_false_on_fire;
+    Alcotest.test_case "no_event is never pending" `Quick test_no_event;
+    Alcotest.test_case "reserved event keeps its place" `Quick
+      test_reserved_keeps_its_place;
   ]

@@ -85,6 +85,51 @@ let test_bandwidth_scaling () =
   in
   feq "100 Mbit" (8.0 *. 1000.0 /. 100e6) (Hw.Ethernet.tx_time fast ~size:1000)
 
+let logged log name = Hw.Packet.make ~src:0 ~dst:1 ~size:100 ~kind:name
+    (fun () -> log := name :: !log)
+
+let test_lane_keeps_scheduling_order () =
+  (* Back-to-back sends: the second delivery waits in the lane, out of
+     the heap.  An event scheduled afterwards at exactly that delivery's
+     time still runs after it, because the delivery's place among
+     equal-time events was fixed when it was sent. *)
+  let e, n = make () in
+  let log = ref [] in
+  ignore (Hw.Ethernet.send n (logged log "a"));
+  let second = Hw.Ethernet.send n (logged log "b") in
+  ignore
+    (Sim.Engine.schedule_at e ~time:second (fun () -> log := "timer" :: !log));
+  Alcotest.(check int) "lane head and timer in the heap" 2
+    (Sim.Engine.pending e);
+  ignore (Sim.Engine.run e);
+  Alcotest.(check (list string)) "send order, then the timer"
+    [ "a"; "b"; "timer" ] (List.rev !log)
+
+let test_chooser_sees_held_deliveries () =
+  (* Installing a chooser hands every held delivery to the heap, so the
+     chooser is offered all of them. *)
+  let e, n = make () in
+  let log = ref [] in
+  List.iter (fun k -> ignore (Hw.Ethernet.send n (logged log k))) [ "a"; "b"; "c" ];
+  Alcotest.(check int) "only the head queued" 1 (Sim.Engine.pending e);
+  let offered = ref 0 in
+  Sim.Engine.set_chooser e
+    (Some
+       {
+         Sim.Choice.pick =
+           (fun _ cands ->
+             offered := max !offered (Array.length cands);
+             0);
+         faults = false;
+         note_access = ignore;
+       });
+  Alcotest.(check int) "all queued" 3 (Sim.Engine.pending e);
+  ignore (Sim.Engine.run e);
+  Sim.Engine.set_chooser e None;
+  Alcotest.(check int) "all three offered" 3 !offered;
+  Alcotest.(check (list string)) "each delivered once, in order"
+    [ "a"; "b"; "c" ] (List.rev !log)
+
 let suite =
   [
     Alcotest.test_case "tx time formula" `Quick test_tx_time;
@@ -95,4 +140,8 @@ let suite =
       test_idle_gap_no_queueing;
     Alcotest.test_case "statistics" `Quick test_stats;
     Alcotest.test_case "bandwidth scaling" `Quick test_bandwidth_scaling;
+    Alcotest.test_case "lane keeps scheduling order" `Quick
+      test_lane_keeps_scheduling_order;
+    Alcotest.test_case "chooser sees held deliveries" `Quick
+      test_chooser_sees_held_deliveries;
   ]

@@ -110,6 +110,109 @@ let prop_length =
         ops;
       Sim.Event_queue.length q = !model)
 
+(* Model test: random interleavings of add / pop / take / filter, drawn
+   from a handful of timestamps so ties are common, against a list kept
+   sorted by (time, insertion number).  Every removal must agree with the
+   model's head, so ties come out FIFO. *)
+type op = Add of int | Pop | Take | Filter of int
+
+let op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (5, map (fun t -> Add t) (int_bound 3));
+        (2, return Pop);
+        (2, return Take);
+        (1, map (fun m -> Filter m) (int_range 2 4));
+      ])
+
+let show_op = function
+  | Add t -> Printf.sprintf "add %d" t
+  | Pop -> "pop"
+  | Take -> "take"
+  | Filter m -> Printf.sprintf "filter mod %d" m
+
+let prop_model =
+  QCheck.Test.make ~name:"add/pop/take/filter match a sorted-list model"
+    ~count:500
+    QCheck.(make ~print:(Print.list show_op) Gen.(list_size (int_bound 200) op_gen))
+    (fun ops ->
+      let q = Sim.Event_queue.create () in
+      let model = ref [] in
+      let next = ref 0 in
+      let insert e =
+        let rec go = function
+          | [] -> [ e ]
+          | x :: rest when compare x e <= 0 -> x :: go rest
+          | l -> e :: l
+        in
+        model := go !model
+      in
+      let expect_head got =
+        match !model with
+        | [] -> QCheck.Test.fail_report "queue had an entry the model lacks"
+        | (t, n) :: rest ->
+          if got <> (float_of_int t, n) then
+            QCheck.Test.fail_reportf "got (%g, %d), model says (%d, %d)"
+              (fst got) (snd got) t n;
+          model := rest
+      in
+      List.iter
+        (function
+          | Add t ->
+            Sim.Event_queue.add q ~time:(float_of_int t) !next;
+            insert (t, !next);
+            incr next
+          | Pop -> (
+            match Sim.Event_queue.pop q with
+            | Some got -> expect_head got
+            | None ->
+              if !model <> [] then QCheck.Test.fail_report "pop lost entries")
+          | Take ->
+            if Sim.Event_queue.is_empty q then begin
+              if !model <> [] then QCheck.Test.fail_report "take lost entries"
+            end
+            else begin
+              let time = Sim.Event_queue.min_time q in
+              expect_head (time, Sim.Event_queue.take q)
+            end
+          | Filter m ->
+            Sim.Event_queue.filter q (fun n -> n mod m <> 0);
+            model := List.filter (fun (_, n) -> n mod m <> 0) !model)
+        ops;
+      if Sim.Event_queue.length q <> List.length !model then
+        QCheck.Test.fail_report "length differs from the model";
+      let rec drain () =
+        match Sim.Event_queue.pop q with
+        | Some got ->
+          expect_head got;
+          drain ()
+        | None -> ()
+      in
+      drain ();
+      !model = [])
+
+let test_reserved_seq () =
+  (* An entry added under a seq reserved earlier goes ahead of equal-time
+     entries created after the reservation. *)
+  let q = Sim.Event_queue.create () in
+  let early = Sim.Event_queue.reserve q in
+  Sim.Event_queue.add q ~time:1.0 "later";
+  Sim.Event_queue.add_reserved q ~time:1.0 ~seq:early "reserved";
+  let first = Sim.Event_queue.take q in
+  let second = Sim.Event_queue.take q in
+  Alcotest.(check (list string))
+    "reserved first" [ "reserved"; "later" ] [ first; second ]
+
+let test_take_empty () =
+  let q : unit Sim.Event_queue.t = Sim.Event_queue.create () in
+  Alcotest.check_raises "take"
+    (Invalid_argument "Event_queue.take: empty queue") (fun () ->
+      Sim.Event_queue.take q);
+  Alcotest.check_raises "min_time"
+    (Invalid_argument "Event_queue.min_time: empty queue") (fun () ->
+      ignore (Sim.Event_queue.min_time q : float))
+
 let suite =
   [
     Alcotest.test_case "empty queue" `Quick test_empty;
@@ -122,4 +225,7 @@ let suite =
     Alcotest.test_case "fold visits everything" `Quick test_fold;
     QCheck_alcotest.to_alcotest prop_sorted;
     QCheck_alcotest.to_alcotest prop_length;
+    QCheck_alcotest.to_alcotest prop_model;
+    Alcotest.test_case "reserved seq keeps its place" `Quick test_reserved_seq;
+    Alcotest.test_case "take and min_time on empty" `Quick test_take_empty;
   ]
