@@ -29,6 +29,14 @@
      decision carries no static key at all and commutes with everything
      it did not observably touch.
 
+   A decision costs about as much as an event.  Keys and candidate idents
+   are ints ({!Sim.Choice.Key}, {!Sim.Choice.Ident}), so sleep sets and
+   conflict tests compare ints; candidate labels are closures, rendered
+   only when a counterexample is written or printed.  The explored tree
+   is a trie walked once per execution, so marking a trail explored and
+   probing a race reversal at depth [i] are O(1) per decision, with no
+   per-depth path key.
+
    Every complete execution is audited: AmberSan finalize (races,
    lock-order cycles, location-protocol audits) plus terminal
    invariants — the main thread finished (a quiesced engine with an
@@ -220,8 +228,8 @@ let steal_fixture =
            ready queue at that instant; the chooser decides when the
            instant is. *)
         ignore
-          (Sim.Engine.schedule (Runtime.engine rt) ~key:"node:0"
-             ~label:"steal-attempt" ~delay:100e-6 (fun () ->
+          (Sim.Engine.schedule (Runtime.engine rt) ~key:(Choice.Key.node 0)
+             ~label:(fun () -> "steal-attempt") ~delay:100e-6 (fun () ->
                let vm = Runtime.machine rt 0 in
                match
                  Hw.Machine.take_ready vm (fun t ->
@@ -459,30 +467,54 @@ let apply_mutation m f =
 (* Conflict keys                                                       *)
 (* ------------------------------------------------------------------ *)
 
+module Key = Choice.Key
+
 (* One recorded decision of one execution. *)
 type entry = {
   cands : Choice.candidate array;
   chosen : int;
-  mutable dyn : string list;  (* dynamic keys observed while it ran *)
+  mutable dyn : Key.t list;  (* dynamic keys observed while it ran *)
 }
+
+(* The decision before the first: nothing has run yet. *)
+let no_entry = { cands = [||]; chosen = 0; dyn = [] }
+
+let rec mem_int (x : int) = function
+  | [] -> false
+  | y :: rest -> x = y || mem_int x rest
 
 (* The key set a decision conflicts on.  An [Event] or [Fault] decision
    with no static key is unknown state — it conflicts with everything
-   ("*").  A [Fiber] decision deliberately has {e no} static component:
+   ([Any]).  A [Fiber] decision deliberately has {e no} static component:
    dispatch order matters only through what the dispatched code
    observably touched, which is exactly its dynamic keys; an empty set
    commutes with everything (e.g. the startup order of idle RPC server
    fibers). *)
+type keyset = Any | Keys of Key.t array
+
 let keyset (e : entry) =
   let c = e.cands.(e.chosen) in
   match c.Choice.dom with
-  | Choice.Fiber -> e.dyn
+  | Choice.Fiber -> Keys (Array.of_list e.dyn)
   | Choice.Event | Choice.Fault ->
-    if c.Choice.key = "" then [ "*" ] else c.Choice.key :: e.dyn
+    if c.Choice.key = Key.none then Any
+    else Keys (Array.of_list (c.Choice.key :: e.dyn))
+
+let rec mem_from (k : Key.t) ks j =
+  j < Array.length ks && (ks.(j) = k || mem_from k ks (j + 1))
+
+let rec shares ka kb i =
+  i < Array.length ka && (mem_from ka.(i) kb 0 || shares ka kb (i + 1))
 
 let conflict ka kb =
-  List.mem "*" ka || List.mem "*" kb
-  || List.exists (fun k -> List.mem k kb) ka
+  match (ka, kb) with
+  | Any, _ | _, Any -> true
+  | Keys ka, Keys kb -> shares ka kb 0
+
+(* [conflict ks] against the key set of a transition known only by its
+   static key [k] ([Key.none] = unknown). *)
+let conflict_key ks k =
+  k = Key.none || match ks with Any -> true | Keys a -> mem_from k a 0
 
 (* ------------------------------------------------------------------ *)
 (* Sanitizer-hook recorder: dynamic conflict keys                      *)
@@ -493,32 +525,33 @@ let conflict ka kb =
    currently-executing decision, and future resolutions are counted for
    the all-futures-resolved invariant. *)
 let recording_hooks eng ~resolved (h : San_hooks.t) : San_hooks.t =
-  let note fmt = Printf.ksprintf (Sim.Engine.note_access eng) fmt in
-  let obj o = note "obj:%d" (Aobject.addr_of_any o) in
+  let note k = Sim.Engine.note_access eng k in
+  let obj o = note (Key.obj (Aobject.addr_of_any o)) in
+  let tcb t = note (Key.tcb (Hw.Machine.tcb_id t)) in
   {
     San_hooks.on_thread_start =
       (fun ~parent ~child ->
-        note "tcb:%d" (Hw.Machine.tcb_id child);
+        tcb child;
         h.San_hooks.on_thread_start ~parent ~child);
     on_thread_join =
       (fun ~child ->
-        note "tcb:%d" (Hw.Machine.tcb_id child);
+        tcb child;
         h.San_hooks.on_thread_join ~child);
     on_migrate =
-      (fun ~tcb ~src ~dst ->
-        note "tcb:%d" (Hw.Machine.tcb_id tcb);
-        h.San_hooks.on_migrate ~tcb ~src ~dst);
+      (fun ~tcb:t ~src ~dst ->
+        tcb t;
+        h.San_hooks.on_migrate ~tcb:t ~src ~dst);
     on_object_created =
       (fun o ->
         obj o;
         h.San_hooks.on_object_created o);
     on_object_destroyed =
       (fun ~addr ->
-        note "obj:%d" addr;
+        note (Key.obj addr);
         h.San_hooks.on_object_destroyed ~addr);
     on_sync_created =
       (fun ~addr ~kind ->
-        note "lock:%d" addr;
+        note (Key.lock addr);
         h.San_hooks.on_sync_created ~addr ~kind);
     on_access =
       (fun o m ->
@@ -530,35 +563,35 @@ let recording_hooks eng ~resolved (h : San_hooks.t) : San_hooks.t =
         h.San_hooks.on_access_end o);
     on_lock_acquired =
       (fun ~addr ~name ->
-        note "lock:%d" addr;
+        note (Key.lock addr);
         h.San_hooks.on_lock_acquired ~addr ~name);
     on_lock_released =
       (fun ~addr ->
-        note "lock:%d" addr;
+        note (Key.lock addr);
         h.San_hooks.on_lock_released ~addr);
     on_barrier_arrive =
       (fun ~addr ~gen ->
-        note "lock:%d" addr;
+        note (Key.lock addr);
         h.San_hooks.on_barrier_arrive ~addr ~gen);
     on_barrier_release =
       (fun ~addr ~gen ->
-        note "lock:%d" addr;
+        note (Key.lock addr);
         h.San_hooks.on_barrier_release ~addr ~gen);
     on_barrier_resume =
       (fun ~addr ~gen ->
-        note "lock:%d" addr;
+        note (Key.lock addr);
         h.San_hooks.on_barrier_resume ~addr ~gen);
     on_cond_signal =
       (fun ~token ->
-        note "cond:%d" token;
+        note (Key.cond token);
         h.San_hooks.on_cond_signal ~token);
     on_cond_wake =
       (fun ~token ->
-        note "cond:%d" token;
+        note (Key.cond token);
         h.San_hooks.on_cond_wake ~token);
     on_move_begin =
       (fun ~addr ->
-        note "obj:%d" addr;
+        note (Key.obj addr);
         h.San_hooks.on_move_begin ~addr);
     on_move_end =
       (fun o ->
@@ -569,17 +602,17 @@ let recording_hooks eng ~resolved (h : San_hooks.t) : San_hooks.t =
         obj o;
         h.San_hooks.on_replica_read o ~node ~epoch);
     on_steal =
-      (fun ~tcb ~victim ~thief ->
-        note "tcb:%d" (Hw.Machine.tcb_id tcb);
-        h.San_hooks.on_steal ~tcb ~victim ~thief);
+      (fun ~tcb:t ~victim ~thief ->
+        tcb t;
+        h.San_hooks.on_steal ~tcb:t ~victim ~thief);
     on_future_resolve =
       (fun ~id ->
         incr resolved;
-        note "fut:%d" id;
+        note (Key.fut id);
         h.San_hooks.on_future_resolve ~id);
     on_future_await =
       (fun ~id ->
-        note "fut:%d" id;
+        note (Key.fut id);
         h.San_hooks.on_future_await ~id);
   }
 
@@ -611,29 +644,34 @@ let run_one ?random fx ~prefix ~sleep0 ~max_depth ~fault_budget ~section =
   Runtime.add_report_section rt ~name:"modelcheck" section;
   let rev_trail = ref [] in
   let depth = ref 0 in
-  let last = ref None in
-  let sleep : (string, string) Hashtbl.t = Hashtbl.create 16 in
-  List.iter (fun (id, key) -> Hashtbl.replace sleep id key) sleep0;
+  let last = ref no_entry in
+  (* The sleep set: [nsleep] (ident, static key) pairs.  Its idents are
+     distinct — they name candidates of one decision. *)
+  let sleep_ids = Array.of_list (List.map fst sleep0) in
+  let sleep_keys = Array.of_list (List.map snd sleep0) in
+  let nsleep = ref (Array.length sleep_ids) in
   (* A slept transition wakes as soon as a dependent one executes: keep
      only sleepers that commute with what just ran.  A sleeper's own key
      set is approximated by its static key (unknown = wake). *)
   let wake_after e =
-    if Hashtbl.length sleep > 0 then begin
-      let ks = keyset e in
-      let stale =
-        Hashtbl.fold
-          (fun id key acc ->
-            if conflict ks [ (if key = "" then "*" else key) ] then id :: acc
-            else acc)
-          sleep []
-      in
-      List.iter (Hashtbl.remove sleep) stale
-    end
+    let ks = if !nsleep > 0 then keyset e else Any in
+    let kept = ref 0 in
+    for i = 0 to !nsleep - 1 do
+      if not (conflict_key ks sleep_keys.(i)) then begin
+        sleep_ids.(!kept) <- sleep_ids.(i);
+        sleep_keys.(!kept) <- sleep_keys.(i);
+        incr kept
+      end
+    done;
+    nsleep := !kept
+  in
+  let rec asleep_from (id : Choice.Ident.t) i =
+    i < !nsleep && (sleep_ids.(i) = id || asleep_from id (i + 1))
   in
   let prefix_len = Array.length prefix in
   let faults_spent = ref 0 in
   let pick dom (cands : Choice.candidate array) =
-    (match !last with Some e -> wake_after e | None -> ());
+    if !last != no_entry then wake_after !last;
     let d = !depth in
     if d >= max_depth then raise Too_deep;
     let choice =
@@ -645,7 +683,7 @@ let run_one ?random fx ~prefix ~sleep0 ~max_depth ~fault_budget ~section =
       end
       else begin
         let n = Array.length cands in
-        let asleep i = Hashtbl.mem sleep cands.(i).Choice.ident in
+        let asleep i = asleep_from cands.(i).Choice.ident 0 in
         if dom = Choice.Fault && !faults_spent >= fault_budget then
           (* budget exhausted: delivery is forced; alternatives of this
              decision are never enqueued either (see [explore]) *)
@@ -666,7 +704,7 @@ let run_one ?random fx ~prefix ~sleep0 ~max_depth ~fault_budget ~section =
     if dom = Choice.Fault && choice <> 0 then incr faults_spent;
     let e = { cands; chosen = choice; dyn = [] } in
     rev_trail := e :: !rev_trail;
-    last := Some e;
+    last := e;
     incr depth;
     choice
   in
@@ -676,9 +714,8 @@ let run_one ?random fx ~prefix ~sleep0 ~max_depth ~fault_budget ~section =
       faults = fx.faults;
       note_access =
         (fun k ->
-          match !last with
-          | Some e -> if not (List.mem k e.dyn) then e.dyn <- k :: e.dyn
-          | None -> ());
+          let e = !last in
+          if e != no_entry && not (mem_int k e.dyn) then e.dyn <- k :: e.dyn);
     }
   in
   let eng = Runtime.engine rt in
@@ -778,7 +815,22 @@ let stats_lines st =
     Printf.sprintf "wall time              %.2fs" st.wall;
   ]
 
-type branch = { prefix : int array; sleep0 : (string * string) list }
+type branch = {
+  prefix : int array;
+  sleep0 : (Choice.Ident.t * Key.t) list;
+}
+
+(* The explored tree as a trie: one node per decision state reached, its
+   children keyed by the choice taken there. *)
+type node = {
+  mutable tried : int list;
+      (* choices explored or enqueued at this node, newest first *)
+  mutable kids : node array;
+      (* child per choice, [unvisited] until taken; sized on first visit *)
+}
+
+let fresh_node () = { tried = []; kids = [||] }
+let unvisited = fresh_node ()
 
 let explore ?(max_schedules = 4000) ?(max_depth = 3000) ?fault_budget fx =
   let fault_budget = Option.value fault_budget ~default:fx.budget in
@@ -794,29 +846,9 @@ let explore ?(max_schedules = 4000) ?(max_depth = 3000) ?fault_budget fx =
     }
   in
   let section () = stats_lines st in
-  (* explored (or enqueued) candidate indices per tree node, keyed by
-     the choice path leading to the node *)
-  let explored : (string, (int, unit) Hashtbl.t) Hashtbl.t =
-    Hashtbl.create 4096
-  in
-  let explored_at path_key =
-    match Hashtbl.find_opt explored path_key with
-    | Some s -> s
-    | None ->
-      let s = Hashtbl.create 4 in
-      Hashtbl.replace explored path_key s;
-      s
-  in
+  let root = fresh_node () in
   let stack = ref [ { prefix = [||]; sleep0 = [] } ] in
   let counterexample = ref None in
-  let path_key choices upto =
-    let b = Buffer.create (upto * 3) in
-    for i = 0 to upto - 1 do
-      Buffer.add_string b (string_of_int choices.(i));
-      Buffer.add_char b ','
-    done;
-    Buffer.contents b
-  in
   while
     !stack <> []
     && !counterexample = None
@@ -841,9 +873,19 @@ let explore ?(max_schedules = 4000) ?(max_depth = 3000) ?fault_budget fx =
         counterexample := Some (schedule_of_trail trail, violations)
       else begin
         let choices = Array.map (fun e -> e.chosen) trail in
-        (* mark this execution's own choices explored *)
+        (* walk the trail down the trie once, marking this execution's
+           own choices explored: [nodes.(d)] is the node at depth [d] *)
+        let nodes = Array.make n root in
         for d = 0 to n - 1 do
-          Hashtbl.replace (explored_at (path_key choices d)) choices.(d) ()
+          let nd = nodes.(d) and c = choices.(d) in
+          if not (mem_int c nd.tried) then nd.tried <- c :: nd.tried;
+          if d + 1 < n then begin
+            if Array.length nd.kids = 0 then
+              nd.kids <- Array.make (Array.length trail.(d).cands) unvisited;
+            if nd.kids.(c) == unvisited then
+              nd.kids.(c) <- fresh_node ();
+            nodes.(d + 1) <- nd.kids.(c)
+          end
         done;
         let keysets = Array.map keyset trail in
         let faults_before = Array.make (n + 1) 0 in
@@ -858,18 +900,18 @@ let explore ?(max_schedules = 4000) ?(max_depth = 3000) ?fault_budget fx =
           faults_before.(j + 1) <- faults_before.(j) + extra
         done;
         let push_alt i alt =
-          let set = explored_at (path_key choices i) in
-          if not (Hashtbl.mem set alt) then begin
+          let nd = nodes.(i) in
+          if not (mem_int alt nd.tried) then begin
             (* transitions already taken from this node sleep in the new
                branch until something dependent wakes them *)
             let sleep0 =
-              Hashtbl.fold
-                (fun a () acc ->
+              List.rev_map
+                (fun a ->
                   let c = trail.(i).cands.(a) in
-                  (c.Choice.ident, c.Choice.key) :: acc)
-                set []
+                  (c.Choice.ident, c.Choice.key))
+                nd.tried
             in
-            Hashtbl.replace set alt ();
+            nd.tried <- alt :: nd.tried;
             stack :=
               { prefix = Array.append (Array.sub choices 0 i) [| alt |]; sleep0 }
               :: !stack
@@ -898,19 +940,18 @@ let explore ?(max_schedules = 4000) ?(max_depth = 3000) ?fault_budget fx =
                   && conflict keysets.(i) keysets.(j)
                 then begin
                   let ei = trail.(i) in
-                  let found = ref false in
-                  Array.iteri
-                    (fun a (c : Choice.candidate) ->
-                      if (not !found) && c.Choice.ident = cj.Choice.ident
-                      then begin
-                        found := true;
-                        if a <> ei.chosen then push_alt i a
-                      end)
-                    ei.cands;
-                  (* the racing transition was not yet enabled at [i]:
-                     fall back to trying every alternative there
-                     (classic DPOR's "add all enabled") *)
-                  if not !found then
+                  let rec find a =
+                    if a >= Array.length ei.cands then None
+                    else if ei.cands.(a).Choice.ident = cj.Choice.ident then
+                      Some a
+                    else find (a + 1)
+                  in
+                  match find 0 with
+                  | Some a -> if a <> ei.chosen then push_alt i a
+                  | None ->
+                    (* the racing transition was not yet enabled at [i]:
+                       fall back to trying every alternative there
+                       (classic DPOR's "add all enabled") *)
                     for a = 0 to Array.length ei.cands - 1 do
                       if a <> ei.chosen then push_alt i a
                     done

@@ -36,9 +36,9 @@ let of_choice (c : Sim.Choice.candidate) ~index ~ncands =
     dom = c.Sim.Choice.dom;
     index;
     ncands;
-    ident = c.Sim.Choice.ident;
-    key = c.Sim.Choice.key;
-    label = c.Sim.Choice.label;
+    ident = Sim.Choice.Ident.to_string c.Sim.Choice.ident;
+    key = Sim.Choice.Key.to_string c.Sim.Choice.key;
+    label = c.Sim.Choice.label ();
   }
 
 (* Labels are machine-generated and never contain tabs or newlines, but

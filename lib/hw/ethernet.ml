@@ -241,16 +241,15 @@ let deliver t (p : Packet.t) =
 
 (* Schedule the receiver-side delivery event.  Under a chooser the event
    carries a conflict key (all deliveries into one node touch that node's
-   protocol state) and a readable label; in normal operation neither
-   string is built, and an in-order delivery joins the lane. *)
+   protocol state) and a label renderer; in normal operation neither is
+   passed, and an in-order delivery joins the lane. *)
 let schedule_delivery t (p : Packet.t) ~time =
   if Sim.Engine.chooser_active t.eng then
     ignore
-      (Sim.Engine.schedule_at t.eng
-         ~key:(Printf.sprintf "net:n%d" p.Packet.dst)
-         ~label:
-           (Printf.sprintf "deliver %s %d>%d seq%d" p.Packet.kind p.Packet.src
-              p.Packet.dst p.Packet.seq)
+      (Sim.Engine.schedule_at t.eng ~key:(Sim.Choice.Key.net p.Packet.dst)
+         ~label:(fun () ->
+           Printf.sprintf "deliver %s %d>%d seq%d" p.Packet.kind p.Packet.src
+             p.Packet.dst p.Packet.seq)
          ~time (fun () -> deliver t p)
         : Sim.Engine.event_id)
   else if time >= t.lane_tail then begin
@@ -284,22 +283,24 @@ let schedule_delivery t (p : Packet.t) ~time =
 let inject t (p : Packet.t) ~delivery =
   match Sim.Engine.chooser t.eng with
   | Some c when c.Sim.Choice.faults && p.Packet.seq >= 0 ->
-    let key = Printf.sprintf "net:n%d" p.Packet.dst in
+    let key = Sim.Choice.Key.net p.Packet.dst in
     let tag verb =
-      Sim.Choice.candidate ~key
-        ~label:
-          (Printf.sprintf "%s %s %d>%d seq%d" verb p.Packet.kind p.Packet.src
-             p.Packet.dst p.Packet.seq)
-        ~dom:Sim.Choice.Fault
-          (* the ident names this packet's fate, not just the verb:
-             sleep sets track transition identity across states, and
-             "dup" of one packet is unrelated to "dup" of another *)
-        ~ident:
-          (Printf.sprintf "%s:%s:%d>%d:%d" verb p.Packet.kind p.Packet.src
-             p.Packet.dst p.Packet.seq)
-        ()
+      {
+        Sim.Choice.dom = Sim.Choice.Fault;
+        (* the ident names this packet's fate, not just the verb: sleep
+           sets track transition identity across states, and "dup" of one
+           packet is unrelated to "dup" of another *)
+        ident =
+          Sim.Choice.Ident.fate ~verb ~kind:p.Packet.kind ~src:p.Packet.src
+            ~dst:p.Packet.dst ~seq:p.Packet.seq;
+        key;
+        label =
+          (fun () ->
+            Printf.sprintf "%s %s %d>%d seq%d" Sim.Choice.Ident.verbs.(verb)
+              p.Packet.kind p.Packet.src p.Packet.dst p.Packet.seq);
+      }
     in
-    let cands = [| tag "deliver"; tag "drop"; tag "dup" |] in
+    let cands = [| tag 0; tag 1; tag 2 |] in
     (match c.Sim.Choice.pick Sim.Choice.Fault cands with
     | 1 -> t.dropped <- t.dropped + 1
     | 2 ->

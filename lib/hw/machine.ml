@@ -164,9 +164,8 @@ let rec schedule_dispatch m =
     in
     ignore
       ((if Sim.Engine.chooser_active m.eng then
-          Sim.Engine.schedule m.eng
-            ~key:(Printf.sprintf "node:%d" m.mid)
-            ~label:(Printf.sprintf "dispatch node%d" m.mid)
+          Sim.Engine.schedule m.eng ~key:(Sim.Choice.Key.node m.mid)
+            ~label:(fun () -> Printf.sprintf "dispatch node%d" m.mid)
             ~delay:0.0 thunk
         else Sim.Engine.schedule m.eng ~delay:0.0 thunk)
         : Sim.Engine.event_id)
@@ -205,15 +204,18 @@ and choose_ready (c : Sim.Choice.t) m =
     | Some tcb -> drain (tcb :: acc)
   in
   let ready = Array.of_list (drain []) in
+  let key = Sim.Choice.Key.node m.mid in
   let cands =
     Array.map
       (fun tcb ->
-        Sim.Choice.candidate
-          ~key:(Printf.sprintf "node:%d" m.mid)
-          ~label:(Printf.sprintf "run %s t%d node%d" tcb.name tcb.tid m.mid)
-          ~dom:Sim.Choice.Fiber
-          ~ident:(Printf.sprintf "t%d" tcb.tid)
-          ())
+        {
+          Sim.Choice.dom = Sim.Choice.Fiber;
+          ident = Sim.Choice.Ident.fiber tcb.tid;
+          key;
+          label =
+            (fun () ->
+              Printf.sprintf "run %s t%d node%d" tcb.name tcb.tid m.mid);
+        })
       ready
   in
   let idx = c.Sim.Choice.pick Sim.Choice.Fiber cands in
@@ -307,9 +309,9 @@ and start_chunk m cpu tcb ~remaining =
   let thunk () = chunk_done m cpu busy in
   busy.chunk_event <-
     (if Sim.Engine.chooser_active m.eng then
-       Sim.Engine.schedule m.eng
-         ~key:(Printf.sprintf "node:%d" m.mid)
-         ~label:(Printf.sprintf "chunk %s t%d node%d" tcb.name tcb.tid m.mid)
+       Sim.Engine.schedule m.eng ~key:(Sim.Choice.Key.node m.mid)
+         ~label:(fun () ->
+           Printf.sprintf "chunk %s t%d node%d" tcb.name tcb.tid m.mid)
          ~delay:chunk thunk
      else Sim.Engine.schedule m.eng ~delay:chunk thunk);
   cpu.cstate <- Busy busy

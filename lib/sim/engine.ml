@@ -6,8 +6,8 @@ type event = {
       (* nominal timestamp.  Under a chooser an event may fire "late"
          (after the clock has been advanced past it by another branch of
          the exploration); the clock never moves backwards. *)
-  key : string;
-  label : string;
+  key : Choice.Key.t;
+  label : unit -> string;
   mutable live : bool;
       (* cleared when the event fires or is cancelled; a dead heap entry
          is skipped when it reaches the top *)
@@ -17,8 +17,8 @@ type event = {
 type event_id = event
 
 let no_event =
-  { id = -1; time = Float.infinity; key = ""; label = ""; live = false;
-    thunk = ignore }
+  { id = -1; time = Float.infinity; key = Choice.Key.none;
+    label = Choice.no_label; live = false; thunk = ignore }
 
 type t = {
   queue : event Event_queue.t;
@@ -31,6 +31,9 @@ type t = {
   mutable chooser : Choice.t option;
   (* Hooks run as a chooser is installed (see [on_set_chooser]). *)
   mutable on_chooser : (unit -> unit) list;
+  (* [checked_step]'s scratch buffer for the live events, reused from
+     one decision to the next. *)
+  mutable live_buf : event array;
 }
 
 let create ?(seed = 0x5EEDL) () =
@@ -41,6 +44,7 @@ let create ?(seed = 0x5EEDL) () =
     root_rng = Rng.make seed;
     chooser = None;
     on_chooser = [];
+    live_buf = [||];
   }
 
 let now t = t.clock
@@ -57,7 +61,7 @@ let chooser_active t = t.chooser <> None
 let note_access t k =
   match t.chooser with None -> () | Some c -> c.Choice.note_access k
 
-let reserve t ?(key = "") ?(label = "") ~time thunk =
+let reserve t ?(key = Choice.Key.none) ?(label = Choice.no_label) ~time thunk =
   if Float.is_nan time then invalid_arg "Engine.schedule_at: NaN time";
   let time =
     if time >= t.clock then time
@@ -96,47 +100,60 @@ let fire t ev =
   t.executed <- t.executed + 1;
   ev.thunk ()
 
+(* [(time, id)] order, the order [step_earliest] would fire them in. *)
+let earlier a b = a.time < b.time || (a.time = b.time && a.id < b.id)
+
 (* Chooser-driven step: any pending event may fire next, not just the
    earliest — the chooser explores relative orderings of deliveries and
    timers that the timestamps of one particular run would fix.  Fired
    events are marked dead in place and left in the heap, like cancelled
-   ones; once they make up more than half of it, the heap is compacted. *)
+   ones; once they make up more than half of it, the heap is compacted.
+   The live events are gathered into the reused [t.live_buf] and
+   insertion-sorted there as they come (heap order already puts every
+   parent before its children, and a chooser's live set is small); only
+   the candidate array handed to the chooser is allocated. *)
 let checked_step (c : Choice.t) t =
-  let live =
-    Event_queue.fold t.queue ~init:[] ~f:(fun acc _ ev ->
-        if ev.live then ev :: acc else acc)
+  let len = Event_queue.length t.queue in
+  if Array.length t.live_buf < len then
+    t.live_buf <- Array.make (2 * len) no_event;
+  let buf = t.live_buf in
+  let n =
+    Event_queue.fold t.queue ~init:0 ~f:(fun n _ ev ->
+        if not ev.live then n
+        else begin
+          (* insert [ev] into the sorted [buf.(0 .. n-1)] *)
+          let i = ref n in
+          while !i > 0 && earlier ev buf.(!i - 1) do
+            buf.(!i) <- buf.(!i - 1);
+            decr i
+          done;
+          buf.(!i) <- ev;
+          n + 1
+        end)
   in
-  if 2 * List.length live < Event_queue.length t.queue then
-    Event_queue.filter t.queue (fun ev -> ev.live);
-  let evs =
-    List.sort
-      (fun a b ->
-        match Float.compare a.time b.time with
-        | 0 -> Int.compare a.id b.id
-        | n -> n)
-      live
-  in
-  match evs with
-  | [] -> false
-  | [ ev ] ->
-    fire t ev;
-    true
-  | evs ->
-    let arr = Array.of_list evs in
-    let cands =
-      Array.map
-        (fun ev ->
-          Choice.candidate ~key:ev.key
-            ~label:
-              (if ev.label = "" then Printf.sprintf "ev%d" ev.id else ev.label)
-            ~dom:Choice.Event
-            ~ident:(Printf.sprintf "e%d" ev.id)
-            ())
-        arr
+  if 2 * n < len then Event_queue.filter t.queue (fun ev -> ev.live);
+  if n = 0 then false
+  else begin
+    let idx =
+      if n = 1 then 0
+      else
+        c.Choice.pick Choice.Event
+          (Array.init n (fun i ->
+               let ev = buf.(i) in
+               let label =
+                 if ev.label != Choice.no_label then ev.label
+                 else fun () -> Printf.sprintf "ev%d" ev.id
+               in
+               {
+                 Choice.dom = Choice.Event;
+                 ident = Choice.Ident.event ev.id;
+                 key = ev.key;
+                 label;
+               }))
     in
-    let idx = c.Choice.pick Choice.Event cands in
-    fire t arr.(idx);
+    fire t buf.(idx);
     true
+  end
 
 let rec step_earliest t =
   if Event_queue.is_empty t.queue then false
@@ -163,14 +180,17 @@ let run ?until t =
       ()
     done
   | None, Some u ->
-    (* The horizon is checked against the heap's top entry, live or not:
-       a dead top entry lets the next live event run even if it lies past
-       [u]. *)
-    while
-      (not (Event_queue.is_empty t.queue))
-      && Event_queue.min_time t.queue <= u
-      && step t
-    do
+    (* Dead entries are dropped before the horizon test, so it is made
+       against the next live event. *)
+    let rec next_live_before_horizon () =
+      match Event_queue.peek t.queue with
+      | None -> false
+      | Some (_, ev) when not ev.live ->
+        ignore (Event_queue.take t.queue : event);
+        next_live_before_horizon ()
+      | Some (time, _) -> time <= u
+    in
+    while next_live_before_horizon () && step t do
       ()
     done;
     if u > t.clock && Float.is_finite u then t.clock <- u);

@@ -50,22 +50,26 @@ val chooser_active : t -> bool
 (** Report a dynamic conflict key (object address, lock, descriptor,
     future id) touched by the currently-executing decision.  A no-op
     unless a chooser is installed. *)
-val note_access : t -> string -> unit
+val note_access : t -> Choice.Key.t -> unit
 
 (** [schedule t ~delay f] runs [f ()] at [now t +. delay].
     Raises [Invalid_argument] if [delay] is negative or NaN.
-    [key] is the static conflict key and [label] the human-readable
-    description used when a chooser is exploring schedules; both default
-    to [""] and are dead weight otherwise. *)
+    [key] is the static conflict key and [label] renders the
+    human-readable description used when a chooser is exploring
+    schedules; it is called only when a schedule is written or printed.
+    They default to {!Choice.Key.none} and an event with no label
+    (rendered [ev<seq>]), and are dead weight without a chooser. *)
 val schedule :
-  t -> ?key:string -> ?label:string -> delay:float -> (unit -> unit) -> event_id
+  t -> ?key:Choice.Key.t -> ?label:(unit -> string) -> delay:float ->
+  (unit -> unit) -> event_id
 
 (** [schedule_at t ~time f] runs [f ()] at absolute virtual time [time],
     which must not be in the past.  (Under a chooser, a past [time] is
     clamped to the current clock instead: replayed schedules may run the
     scheduling event later than its nominal timestamp.) *)
 val schedule_at :
-  t -> ?key:string -> ?label:string -> time:float -> (unit -> unit) -> event_id
+  t -> ?key:Choice.Key.t -> ?label:(unit -> string) -> time:float ->
+  (unit -> unit) -> event_id
 
 (** [reserve t ~time f] creates an event that runs [f ()] at [time] and
     fixes its place among events at equal times now, but does not queue
@@ -75,7 +79,8 @@ val schedule_at :
     but the next one out of the heap this way, and the order in which
     events run is the same as if each had been scheduled when created. *)
 val reserve :
-  t -> ?key:string -> ?label:string -> time:float -> (unit -> unit) -> event_id
+  t -> ?key:Choice.Key.t -> ?label:(unit -> string) -> time:float ->
+  (unit -> unit) -> event_id
 
 (** Queue an event made by {!reserve}, under the place it reserved.
     Raises [Invalid_argument] if its time is already in the past. *)

@@ -401,7 +401,7 @@ let rec drain_retire t =
        [deliver_datagram] reads, so under a model checker the two do not
        commute even though they run on different nodes — tag the shared
        state so schedule exploration knows to reorder them. *)
-    Sim.Engine.note_access eng "rpc:dedup";
+    Sim.Engine.note_access eng Sim.Choice.Key.rpc_dedup;
     if t.unsafe_dedup || safe_after <= Sim.Engine.now eng then begin
       ignore (Queue.pop t.retire_q : int * float);
       Hashtbl.remove t.delivered seq;
@@ -457,7 +457,7 @@ let send_reliable t ?on_dead ~src ~dst ~size ~kind deliver =
       end
     in
     let deliver_ack () =
-      Sim.Engine.note_access eng "rpc:dedup";
+      Sim.Engine.note_access eng Sim.Choice.Key.rpc_dedup;
       if not !acked then begin
         acked := true;
         cancel_timer ();
@@ -470,7 +470,7 @@ let send_reliable t ?on_dead ~src ~dst ~size ~kind deliver =
       end
     in
     let deliver_datagram () =
-      Sim.Engine.note_access eng "rpc:dedup";
+      Sim.Engine.note_access eng Sim.Choice.Key.rpc_dedup;
       if Hashtbl.mem t.delivered seq then
         Sim.Stats.Counter.incr t.rel.dup_datagrams
       else begin
@@ -506,8 +506,9 @@ let send_reliable t ?on_dead ~src ~dst ~size ~kind deliver =
         Some
           (if Sim.Engine.chooser_active eng then
              Sim.Engine.schedule eng
-               ~key:(Printf.sprintf "net:n%d" src)
-               ~label:(Printf.sprintf "rto %s %d>%d seq%d" kind src dst seq)
+               ~key:(Sim.Choice.Key.net src)
+               ~label:(fun () ->
+                 Printf.sprintf "rto %s %d>%d seq%d" kind src dst seq)
                ~delay thunk
            else Sim.Engine.schedule eng ~delay thunk)
     in
@@ -636,7 +637,7 @@ let call t ~dst ~kind ~req_size ~work =
           end
         in
         let deliver_reply value () =
-          Sim.Engine.note_access eng "rpc:calls";
+          Sim.Engine.note_access eng Sim.Choice.Key.rpc_calls;
           Sim.Span.finish t.spans !rsp;
           if !completed then Sim.Stats.Counter.incr t.rel.dup_replies
           else begin
@@ -648,7 +649,7 @@ let call t ~dst ~kind ~req_size ~work =
           end
         in
         let deliver_request () =
-          Sim.Engine.note_access eng "rpc:calls";
+          Sim.Engine.note_access eng Sim.Choice.Key.rpc_calls;
           Sim.Span.finish t.spans fsp;
           match Hashtbl.find_opt t.call_state seq with
           | Some Started -> Sim.Stats.Counter.incr t.rel.dup_requests
@@ -707,8 +708,9 @@ let call t ~dst ~kind ~req_size ~work =
             Some
               (if Sim.Engine.chooser_active eng then
                  Sim.Engine.schedule eng
-                   ~key:(Printf.sprintf "net:n%d" src)
-                   ~label:(Printf.sprintf "rto %s %d>%d seq%d" kind src dst seq)
+                   ~key:(Sim.Choice.Key.net src)
+                   ~label:(fun () ->
+                     Printf.sprintf "rto %s %d>%d seq%d" kind src dst seq)
                    ~delay thunk
                else Sim.Engine.schedule eng ~delay thunk)
         in

@@ -65,6 +65,22 @@ let test_run_until () =
   Alcotest.(check int) "rest run" 1 n2;
   Alcotest.(check (list int)) "both" [ 5; 1 ] !log
 
+let test_run_until_skips_dead_top () =
+  (* A cancelled event at the top of the heap must not let a live event
+     past the horizon run. *)
+  let e = Sim.Engine.create () in
+  let log = ref [] in
+  let dead = Sim.Engine.schedule e ~delay:5.0 (fun () -> log := 5 :: !log) in
+  let late = Sim.Engine.schedule e ~delay:20.0 (fun () -> log := 20 :: !log) in
+  Sim.Engine.cancel e dead;
+  let n = Sim.Engine.run ~until:10.0 e in
+  Alcotest.(check int) "nothing runs" 0 n;
+  Alcotest.(check (float 0.0)) "clock parked at horizon" 10.0
+    (Sim.Engine.now e);
+  Alcotest.(check bool) "late event still pending" true
+    (Sim.Engine.is_pending e late);
+  Alcotest.(check (list int)) "nothing logged" [] !log
+
 let test_step () =
   let e = Sim.Engine.create () in
   ignore (Sim.Engine.schedule e ~delay:1.0 (fun () -> ()));
@@ -156,6 +172,8 @@ let suite =
     Alcotest.test_case "cancel prevents execution" `Quick test_cancel;
     Alcotest.test_case "double cancel is no-op" `Quick test_cancel_twice_is_noop;
     Alcotest.test_case "run ~until leaves later events" `Quick test_run_until;
+    Alcotest.test_case "run ~until skips a dead top entry" `Quick
+      test_run_until_skips_dead_top;
     Alcotest.test_case "single stepping" `Quick test_step;
     Alcotest.test_case "negative delay rejected" `Quick
       test_negative_delay_rejected;

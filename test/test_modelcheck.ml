@@ -39,6 +39,62 @@ let test_explore_deterministic () =
   let a = run () and b = run () in
   Alcotest.(check bool) "exploration replays identically" true (a = b)
 
+(* The explored tree, pinned: a change to the DFS order, the sleep sets
+   or the race reversals moves at least one of these counts, so only a
+   change to the reduction itself may re-record them.  The depth-25 rows
+   pin truncation as well. *)
+let test_explored_tree_pinned () =
+  let stats ?max_depth name =
+    let o = M.explore ~max_schedules:40 ?max_depth (find_fixture name) in
+    let s = o.M.stats in
+    (s.M.schedules, s.M.pruned, s.M.truncated, s.M.decisions, s.M.max_depth)
+  in
+  let tuple = Alcotest.(pair int (pair int (pair int (pair int int)))) in
+  let nest (a, b, c, d, e) = (a, (b, (c, (d, e)))) in
+  List.iter
+    (fun (name, max_depth, want) ->
+      let tag =
+        match max_depth with
+        | None -> name
+        | Some d -> Printf.sprintf "%s depth %d" name d
+      in
+      let got = stats ?max_depth name in
+      Alcotest.check tuple tag (nest want) (nest got);
+      Alcotest.check tuple (tag ^ " again") (nest got)
+        (nest (stats ?max_depth name)))
+    [
+      ("replica", None, (40, 0, 0, 3973, 102));
+      ("future", None, (40, 0, 0, 1507, 39));
+      ("rpc", None, (40, 0, 0, 1246, 40));
+      ("steal", None, (40, 0, 0, 1025, 30));
+      ("crash-promo", None, (40, 0, 0, 1020, 28));
+      ("crash-move", None, (40, 0, 0, 3839, 99));
+      ("replica", Some 25, (0, 0, 40, 1000, 25));
+      ("rpc", Some 25, (16, 0, 24, 1000, 25));
+    ]
+
+(* Keys and idents are ints; schedule files show them in their v1
+   string forms. *)
+let test_key_and_ident_strings () =
+  let module K = Sim.Choice.Key in
+  let module I = Sim.Choice.Ident in
+  Alcotest.(check (list string)) "keys"
+    [ ""; "net:n1"; "node:0"; "obj:4096"; "lock:7"; "tcb:3"; "fut:2";
+      "cond:5"; "rpc:dedup"; "rpc:calls" ]
+    (List.map K.to_string
+       [ K.none; K.net 1; K.node 0; K.obj 4096; K.lock 7; K.tcb 3; K.fut 2;
+         K.cond 5; K.rpc_dedup; K.rpc_calls ]);
+  let drop = I.fate ~verb:1 ~kind:"probe0" ~src:0 ~dst:1 ~seq:1 in
+  Alcotest.(check (list string)) "idents"
+    [ "e12"; "t3"; "drop:probe0:0>1:1" ]
+    (List.map I.to_string [ I.event 12; I.fiber 3; drop ]);
+  Alcotest.(check bool) "same fate, same ident" true
+    (drop = I.fate ~verb:1 ~kind:"probe0" ~src:0 ~dst:1 ~seq:1);
+  Alcotest.(check bool) "another verb, another ident" true
+    (drop <> I.fate ~verb:2 ~kind:"probe0" ~src:0 ~dst:1 ~seq:1);
+  Alcotest.(check bool) "domains never collide" true
+    (I.event 3 <> I.fiber 3)
+
 let test_fuzz_clean_and_deterministic () =
   let run () =
     let o = M.fuzz ~seed:11 ~max_schedules:60 (find_fixture "rpc") in
@@ -169,6 +225,10 @@ let suite =
       test_explore_steal_clean;
     Alcotest.test_case "explore: deterministic" `Quick
       test_explore_deterministic;
+    Alcotest.test_case "explore: explored tree pinned" `Quick
+      test_explored_tree_pinned;
+    Alcotest.test_case "schedule: key and ident strings" `Quick
+      test_key_and_ident_strings;
     Alcotest.test_case "fuzz: safe rpc clean, seeded walks repeat" `Quick
       test_fuzz_clean_and_deterministic;
     Alcotest.test_case "mutation: dedup bug found" `Quick test_mutation_found;
